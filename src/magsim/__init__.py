@@ -1,5 +1,7 @@
 """Desk-scale lab for dual-pathway multimodal graph learning."""
 
+__version__ = "0.1.0"   # set before the submodules import it
+
 from .errors import (ConfigError, ContractError, DatasetError, MagsimError,
                      ShapeError, TapeError)
 from .graph import (CsrMatrix, Mag, ModalitySpec, SyntheticSpec,
@@ -9,4 +11,3 @@ from .tensor import AdamState, Tape, Tensor, adam_step
 from .theory import SnrParams, crossover, mc_snr_post, snr_int, snr_post, \
     starvation_bound, tau
 
-__version__ = "0.1.0"

@@ -11,13 +11,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .graph import CsrMatrix
 
 
 def mean_aggregate(h: T.Tensor, adj: CsrMatrix, alpha: float) -> T.Tensor:
-    """alpha * h + (1-alpha) * neighbor mean; differentiable in h."""
-    return T.add(T.scale(h, alpha), T.scale(T.spmm(adj, h), 1.0 - alpha))
+    """alpha * h + (1-alpha) * neighbor mean; differentiable in h.
+
+    One product with the adjacency's cached operator P = alpha*I +
+    (1-alpha)*A_hat, recorded as one tape node whose backward is P^T @ g."""
+    if not isinstance(adj, CsrMatrix):
+        raise TypeError("mean_aggregate expects a CsrMatrix adjacency")
+    if adj.num_cols != h.rows:
+        raise ShapeError(f"mean_aggregate: adjacency {adj.num_rows}x{adj.num_cols} "
+                         f"vs h {h.data.shape}")
+    p, p_t = adj.mix_operator(alpha)
+    return T._op(p @ h.data, (h,), (lambda g: p_t @ g,))
 
 
 class MeanAggLayer:
@@ -46,15 +55,15 @@ class MeanAggLayer:
         return (width, self.out_dim)
 
     def forward(self, h: T.Tensor, adj: CsrMatrix, weight: T.Tensor | None = None) -> T.Tensor:
+        if self.has_weight and weight is None:
+            raise ContractError("layer has a weight but none was supplied")
         if self.variant == "ego-concat":
             mixed = T.concat_cols([h, T.spmm(adj, h)])
-        else:
-            mixed = mean_aggregate(h, adj, self.alpha)
-        if self.has_weight:
-            if weight is None:
-                raise ContractError("layer has a weight but none was supplied")
-            mixed = T.matmul(mixed, weight)
-        return mixed
+            return T.matmul(mixed, weight) if self.has_weight else mixed
+        # transform before propagate: P(HW) equals (PH)W, and the sparse
+        # product runs at the output width, never wider than the input here
+        return mean_aggregate(T.matmul(h, weight) if self.has_weight else h,
+                              adj, self.alpha)
 
 
 class GnnStack:
@@ -94,18 +103,16 @@ class GnnStack:
 
 
 def ego_jacobian_diag(adj: CsrMatrix, alpha: float, num_layers: int, node: int) -> float:
-    """(node, node) entry of (alpha*I + (1-alpha)*A_hat)^L via L sparse
-    matrix-vector products on a basis vector.  Equals the structural
-    ego-gradient through L linear mean-aggregation layers."""
+    """(node, node) entry of P^L, P = alpha*I + (1-alpha)*A_hat, via L
+    products of the cached operator with a basis vector.  Equals the
+    structural ego-gradient through L linear mean-aggregation layers."""
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must be in (0,1), got {alpha}")
-    if not adj.normalized:
-        raise ContractError("ego_jacobian_diag needs a row-normalized adjacency")
     if not 0 <= node < adj.num_rows:
         raise ContractError(f"node {node} out of range [0,{adj.num_rows})")
+    p, _ = adj.mix_operator(alpha)
     v = np.zeros(adj.num_rows)
     v[node] = 1.0
-    sp = adj.scipy()
     for _ in range(num_layers):
-        v = alpha * v + (1.0 - alpha) * (sp @ v)
+        v = p @ v
     return float(v[node])

@@ -8,6 +8,7 @@ training, 5 theory property failure.  Log level via MAGSIM_LOG.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -137,11 +138,15 @@ def _load_data(path: str):
     return load(path)
 
 
+@contextlib.contextmanager
 def _pool_map(jobs: int):
+    """``map`` for one job, else the map of a process pool that is shut
+    down, its workers joined, when the block exits."""
     if jobs <= 1:
-        return map
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    return pool.map
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool.map
 
 
 def cmd_sweep_noise(args) -> int:
@@ -153,8 +158,9 @@ def cmd_sweep_noise(args) -> int:
     seeds = section.get("seeds", [0, 1, 2])
     cfg = train_config(doc, args.seed)
     mag = _load_data(args.data)
-    rows, annotation = sweep_noise(mag, scales, kinds, seeds, cfg,
-                                   pool_map=_pool_map(args.jobs))
+    with _pool_map(args.jobs) as pool_map:
+        rows, annotation = sweep_noise(mag, scales, kinds, seeds, cfg,
+                                       pool_map=pool_map)
     write_csv(args.out, "sweep", rows)
     write_manifest(args.out + ".manifest.json", asdict(cfg), cfg.seed,
                    {"scales": scales, "kinds": kinds, "seeds": seeds,

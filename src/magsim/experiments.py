@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import __version__
 from . import tensor as T
 from .errors import ContractError, MagsimError
 from .graph import Mag, corrupt_modality, inject_noise, measure_alignment, \
@@ -23,8 +24,6 @@ from .graph import Mag, corrupt_modality, inject_noise, measure_alignment, \
 from .models import IndependentAgg, JointGcn, MlpModel
 from .supra import SupraConfig, SupraModel
 from .theory import tau
-
-VERSION = "0.1.0"
 
 MODEL_KINDS = ("text-mlp", "visual-mlp", "ef-mlp", "gcn-joint", "sage-concat",
                "indep-agg", "supra")
@@ -84,23 +83,24 @@ class TrainReport:
 
 def build_model(cfg: TrainConfig, mag: Mag, rng):
     names = mag.modality_names()
-    kind = cfg.kind
+    kind, s = cfg.kind, cfg.smoothing
     if kind == "text-mlp":
-        return MlpModel(rng, mag, names[:1], cfg.hidden, cfg.dropout)
+        return MlpModel(rng, mag, names[:1], cfg.hidden, cfg.dropout, s)
     if kind == "visual-mlp":
         if len(names) < 2:
             raise ContractError("visual-mlp needs a second modality")
-        return MlpModel(rng, mag, names[1:2], cfg.hidden, cfg.dropout)
+        return MlpModel(rng, mag, names[1:2], cfg.hidden, cfg.dropout, s)
     if kind == "ef-mlp":
-        return MlpModel(rng, mag, names, cfg.hidden, cfg.dropout)
+        return MlpModel(rng, mag, names, cfg.hidden, cfg.dropout, s)
     if kind == "gcn-joint":
-        return JointGcn(rng, mag, cfg.hidden, cfg.num_layers, cfg.alpha, cfg.dropout)
+        return JointGcn(rng, mag, cfg.hidden, cfg.num_layers, cfg.alpha,
+                        cfg.dropout, s)
     if kind == "sage-concat":
         return JointGcn(rng, mag, cfg.hidden, cfg.num_layers, cfg.alpha,
-                        cfg.dropout, variant="ego-concat")
+                        cfg.dropout, s, variant="ego-concat")
     if kind == "indep-agg":
         return IndependentAgg(rng, mag, cfg.hidden, cfg.num_layers, cfg.alpha,
-                              cfg.dropout)
+                              cfg.dropout, s)
     if kind == "supra":
         scfg = SupraConfig(proj_dim=cfg.hidden, num_layers=cfg.num_layers,
                            alpha=cfg.alpha, lambda_aux=cfg.lambda_aux,
@@ -158,28 +158,21 @@ def train(mag: Mag, cfg: TrainConfig, return_model: bool = False):
     state = T.AdamState()
 
     train_idx = mag.splits["train"]
-    y_train = mag.labels[train_idx]
     best_val, best_epoch, best_state = -1.0, 0, model.state_copy()
     epochs = []
 
     for epoch in range(1, cfg.max_epochs + 1):
         tape = T.Tape()
         out = model.forward(mag, norm_adj, tape, training=True, rng=rng_drop)
-        if isinstance(model, SupraModel):
-            losses = model.loss(out, mag.labels, train_idx)
-            total, task = losses["total"], losses["task"]
-            aux_val = sum(a.data[0, 0] for a in losses["aux"].values())
-        else:
-            task = T.cross_entropy_smoothed(
-                T.row_select(out["logits"], train_idx), y_train, cfg.smoothing)
-            total, aux_val = task, 0.0
+        losses = model.loss(out, mag.labels, train_idx)
+        total, task = losses["total"], losses["task"]
+        aux_val = sum(a.data[0, 0] for a in losses["aux"].values())
         loss_val = float(total.data[0, 0])
         if not np.isfinite(loss_val):
             raise NumericError(f"non-finite loss at epoch {epoch}")
         tape.backward(total)
-        grads = model.grads()
-        branch_norms = {b: model.grad_norm(ns) for b, ns in model.branches().items()}
-        T.adam_step(model.params, grads, state, cfg.lr, cfg.weight_decay)
+        branch_norms = model.branch_grad_norms()
+        T.adam_step(model.params, model.grads(), state, cfg.lr, cfg.weight_decay)
 
         val_acc = accuracy(predict(model, mag, norm_adj, mag.splits["val"]),
                            mag.labels[mag.splits["val"]])
@@ -231,7 +224,8 @@ def sweep_noise(mag: Mag, scales, kinds, seeds, base_cfg: TrainConfig,
     """Cartesian noise-injection sweep; also measures the alignment and
     neighborhood-noise level of the base graph and reports tau for
     annotation."""
-    if len(list(scales)) < 1 or len(list(kinds)) < 1:
+    scales, kinds, seeds = list(scales), list(kinds), list(seeds)
+    if not scales or not kinds:
         raise ContractError("need at least one scale and one model kind")
     cells = [(mag, scale, kind, seed, base_cfg)
              for scale in scales for kind in kinds for seed in seeds]
@@ -326,7 +320,7 @@ def write_csv(path: str, schema: str, rows):
 
 
 def write_manifest(path: str, config: dict, seed: int, extra: dict | None = None):
-    doc = {"config": config, "seed": seed, "version": VERSION}
+    doc = {"config": config, "seed": seed, "version": __version__}
     if extra:
         doc.update(extra)
     with open(path, "w", encoding="utf-8") as fh:

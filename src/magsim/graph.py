@@ -36,7 +36,8 @@ class CsrMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         self.normalized = bool(normalized)
-        self._sp = None
+        self._sp = self._sp_t = None
+        self._mix = {}               # alpha -> (P, P^T), see mix_operator
         self._validate()
 
     def _validate(self):
@@ -49,10 +50,12 @@ class CsrMatrix:
             raise ShapeError("col_indices and values length mismatch")
         if ci.size and (ci.min() < 0 or ci.max() >= self.num_cols):
             raise ShapeError(f"column index out of range [0,{self.num_cols})")
-        for r in range(self.num_rows):
-            row = ci[ro[r]:ro[r + 1]]
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                raise ShapeError(f"row {r}: column indices not strictly increasing")
+        bad = np.diff(ci) <= 0
+        starts = ro[1:-1]
+        bad[starts[(starts > 0) & (starts < ci.size)] - 1] = False   # pairs across rows
+        if bad.any():
+            r = int(np.searchsorted(ro, np.argmax(bad), side="right")) - 1
+            raise ShapeError(f"row {r}: column indices not strictly increasing")
         if self.normalized:
             sums = np.add.reduceat(self.values, ro[:-1][np.diff(ro) > 0]) if ci.size else np.array([])
             if sums.size and np.max(np.abs(sums - 1.0)) > 1e-12:
@@ -95,6 +98,26 @@ class CsrMatrix:
                 (self.values, self.col_indices, self.row_offsets),
                 shape=(self.num_rows, self.num_cols))
         return self._sp
+
+    def scipy_t(self) -> sp.csr_matrix:
+        """Cached CSR transpose, the backward operator of ``A @ h``."""
+        if self._sp_t is None:
+            self._sp_t = self.scipy().T.tocsr()
+        return self._sp_t
+
+    def mix_operator(self, alpha: float):
+        """Cached CSR pair (P, P^T) with P = alpha*I + (1-alpha)*A: one
+        mean-mix aggregation step is the single product P @ h."""
+        if not self.normalized:
+            raise ContractError("mean aggregation needs a row-normalized adjacency")
+        if self.num_rows != self.num_cols:
+            raise ShapeError(f"mean aggregation needs a square adjacency, "
+                             f"got {self.num_rows}x{self.num_cols}")
+        if alpha not in self._mix:
+            p = (alpha * sp.identity(self.num_rows, format="csr")
+                 + (1.0 - alpha) * self.scipy()).tocsr()
+            self._mix[alpha] = (p, p.T.tocsr())
+        return self._mix[alpha]
 
     def to_dense(self) -> np.ndarray:
         return self.scipy().toarray()

@@ -22,8 +22,9 @@ def _he(rng, fan_in, shape):
 class Model:
     """Common parameter bookkeeping for all trainable models."""
 
-    def __init__(self):
+    def __init__(self, smoothing: float):
         self.params: dict[str, np.ndarray] = {}
+        self.smoothing = smoothing
         self._taped = None
 
     def add_linear(self, rng, name, d_in, d_out):
@@ -43,6 +44,13 @@ class Model:
         g = self.grads()
         total = sum(float(np.sum(g[n] ** 2)) for n in names if n in g)
         return float(np.sqrt(total))
+
+    def loss(self, outputs, labels, train_idx) -> dict:
+        """Smoothed cross-entropy of the logits over the train rows; models
+        with auxiliary terms extend ``aux`` and ``total``."""
+        task = T.cross_entropy_smoothed(
+            T.row_select(outputs["logits"], train_idx), labels[train_idx], self.smoothing)
+        return {"total": task, "task": task, "aux": {}}
 
     def branches(self) -> dict:
         return {"all": list(self.params)}
@@ -67,17 +75,16 @@ def _linear(p, prefix, x):
     return T.add(T.matmul(x, p[f"{prefix}.w"]), p[f"{prefix}.b"])
 
 
-def _concat_features(mag: Mag, names, tape) -> T.Tensor:
+def _concat_features(mag: Mag, names) -> T.Tensor:
     cols = [T.Tensor(mag.features[n], None) for n in names]
-    out = T.concat_cols(cols) if len(cols) > 1 else cols[0]
-    return out
+    return T.concat_cols(cols) if len(cols) > 1 else cols[0]
 
 
 class MlpModel(Model):
     """Two-layer perceptron on one modality or on the early-fusion concat."""
 
-    def __init__(self, rng, mag: Mag, modality_names, hidden, dropout):
-        super().__init__()
+    def __init__(self, rng, mag: Mag, modality_names, hidden, dropout, smoothing):
+        super().__init__(smoothing)
         self.modality_names = list(modality_names)
         self.dropout = dropout
         d_in = sum(dim for name, dim in mag.modalities if name in self.modality_names)
@@ -88,7 +95,7 @@ class MlpModel(Model):
 
     def forward(self, mag, norm_adj, tape, training, rng):
         p = self.wrap(tape)
-        x = _concat_features(mag, self.modality_names, tape)
+        x = _concat_features(mag, self.modality_names)
         h = T.relu(_linear(p, "fc1", x))
         h = T.dropout(h, self.dropout, rng, training)
         return {"logits": _linear(p, "head", h)}
@@ -98,9 +105,9 @@ class JointGcn(Model):
     """Joint aggregation: early-fused features projected once, then routed
     through L mean-aggregation layers and a linear head."""
 
-    def __init__(self, rng, mag: Mag, hidden, num_layers, alpha, dropout,
+    def __init__(self, rng, mag: Mag, hidden, num_layers, alpha, dropout, smoothing,
                  variant="mean-mix"):
-        super().__init__()
+        super().__init__(smoothing)
         self.dropout = dropout
         d_in = sum(dim for _, dim in mag.modalities)
         self.add_linear(rng, "proj", d_in, hidden)
@@ -111,7 +118,7 @@ class JointGcn(Model):
 
     def forward(self, mag, norm_adj, tape, training, rng):
         p = self.wrap(tape)
-        x = _concat_features(mag, mag.modality_names(), tape)
+        x = _concat_features(mag, mag.modality_names())
         h = T.relu(_linear(p, "proj", x))
         h = T.dropout(h, self.dropout, rng, training)
         h = self.stack.forward(h, norm_adj, p, "gnn")
@@ -122,8 +129,8 @@ class IndependentAgg(Model):
     """Independent aggregation: one GNN branch per modality, outputs
     concatenated into a shared linear fusion head."""
 
-    def __init__(self, rng, mag: Mag, hidden, num_layers, alpha, dropout):
-        super().__init__()
+    def __init__(self, rng, mag: Mag, hidden, num_layers, alpha, dropout, smoothing):
+        super().__init__(smoothing)
         self.dropout = dropout
         self.hidden = hidden
         self.stacks = {}

@@ -45,7 +45,7 @@ class SupraConfig:
 
 class SupraModel(Model):
     def __init__(self, rng, mag: Mag, cfg: SupraConfig):
-        super().__init__()
+        super().__init__(cfg.smoothing)
         self.cfg = cfg
         self.modalities = list(mag.modalities)
         for name, dim in self.modalities:
@@ -90,19 +90,15 @@ class SupraModel(Model):
     def loss(self, outputs, labels, train_idx):
         """Task + lambda_aux * sum of per-modality auxiliary losses, each a
         smoothed cross-entropy over the train rows."""
-        cfg = self.cfg
-        y = labels[train_idx]
-        task = T.cross_entropy_smoothed(
-            T.row_select(outputs["logits"], train_idx), y, cfg.smoothing)
-        aux = {}
-        total = task
+        losses = super().loss(outputs, labels, train_idx)
+        y, lam = labels[train_idx], self.cfg.lambda_aux
         for name, _dim in self.modalities:
             a = T.cross_entropy_smoothed(
-                T.row_select(outputs["aux_logits"][name], train_idx), y, cfg.smoothing)
-            aux[name] = a
-            if cfg.lambda_aux > 0:
-                total = T.add(total, T.scale(a, cfg.lambda_aux))
-        return {"total": total, "task": task, "aux": aux}
+                T.row_select(outputs["aux_logits"][name], train_idx), y, self.smoothing)
+            losses["aux"][name] = a
+            if lam > 0:
+                losses["total"] = T.add(losses["total"], T.scale(a, lam))
+        return losses
 
     def branches(self):
         out = {}

@@ -69,9 +69,10 @@ class Tensor:
         return self.data.shape[1]
 
     def _bump(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        """Accumulate one gradient contribution.  The first is stored as is
+        (0.0 + g == g); no stored gradient is ever written in place, so it
+        may share its array with the output gradient it came from."""
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor({self.rows}x{self.cols}, taped={self.tape is not None})"
@@ -85,24 +86,34 @@ def _out_tape(*operands):
     return next(iter(tapes.values())) if tapes else None
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: {a.data.shape} x {b.data.shape}")
-    tape = _out_tape(a, b)
-    out = Tensor(a.data @ b.data, tape)
+def _op(data, parents, vjps) -> Tensor:
+    """The one way an op makes its result: a Tensor holding ``data`` and,
+    when a parent is on a tape, one recorded backward node.
+
+    ``vjps[i]`` maps the output gradient to the gradient contribution of
+    ``parents[i]``.  It runs during backward, only for parents on the tape
+    and only once the output has received gradient.
+    """
+    tape = _out_tape(*parents)
+    out = Tensor(data, tape)
     if tape is not None:
-        a_data, b_data = a.data, b.data
+        taped = [(p, vjp) for p, vjp in zip(parents, vjps) if p.tape is tape]
 
         def backward():
-            if out.grad is None:
-                return
-            if a.tape is tape:
-                a._bump(out.grad @ b_data.T)
-            if b.tape is tape:
-                b._bump(a_data.T @ out.grad)
+            g = out.grad
+            if g is not None:
+                for p, vjp in taped:
+                    p._bump(vjp(g))
 
         tape._record(backward)
     return out
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.cols != b.rows:
+        raise ShapeError(f"matmul: {a.data.shape} x {b.data.shape}")
+    return _op(a.data @ b.data, (a, b),
+               (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def spmm(adj, h: Tensor) -> Tensor:
@@ -119,90 +130,33 @@ def spmm(adj, h: Tensor) -> Tensor:
         )
     if adj.num_cols != h.rows:
         raise ShapeError(f"spmm: adjacency {adj.num_rows}x{adj.num_cols} vs h {h.data.shape}")
-    tape = _out_tape(h)
-    sp = adj.scipy()
-    out = Tensor(sp @ h.data, tape)
-    if tape is not None:
-        sp_t = sp.T.tocsr()
-
-        def backward():
-            if out.grad is None:
-                return
-            h._bump(sp_t @ out.grad)
-
-        tape._record(backward)
-    return out
+    return _op(adj.scipy() @ h.data, (h,), (lambda g: adj.scipy_t() @ g,))
 
 
 def relu(x: Tensor) -> Tensor:
-    tape = _out_tape(x)
-    out = Tensor(np.maximum(x.data, 0.0), tape)
-    if tape is not None:
-        mask = x.data > 0.0
-
-        def backward():
-            if out.grad is None:
-                return
-            x._bump(out.grad * mask)
-
-        tape._record(backward)
-    return out
+    return _op(np.maximum(x.data, 0.0), (x,), (lambda g: g * (x.data > 0.0),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may be a 1 x cols row vector (bias broadcast)."""
     if a.data.shape != b.data.shape and not (b.rows == 1 and b.cols == a.cols):
         raise ShapeError(f"add: {a.data.shape} + {b.data.shape}")
-    tape = _out_tape(a, b)
-    out = Tensor(a.data + b.data, tape)
-    if tape is not None:
-        broadcast = b.data.shape != a.data.shape
-
-        def backward():
-            if out.grad is None:
-                return
-            if a.tape is tape:
-                a._bump(out.grad)
-            if b.tape is tape:
-                b._bump(out.grad.sum(axis=0, keepdims=True) if broadcast else out.grad)
-
-        tape._record(backward)
-    return out
+    broadcast = b.data.shape != a.data.shape
+    return _op(a.data + b.data, (a, b),
+               (lambda g: g,
+                lambda g: g.sum(axis=0, keepdims=True) if broadcast else g))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    tape = _out_tape(x)
-    out = Tensor(x.data * c, tape)
-    if tape is not None:
-
-        def backward():
-            if out.grad is None:
-                return
-            x._bump(out.grad * c)
-
-        tape._record(backward)
-    return out
+    return _op(x.data * c, (x,), (lambda g: g * c,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product of same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: {a.data.shape} * {b.data.shape}")
-    tape = _out_tape(a, b)
-    out = Tensor(a.data * b.data, tape)
-    if tape is not None:
-        a_data, b_data = a.data, b.data
-
-        def backward():
-            if out.grad is None:
-                return
-            if a.tape is tape:
-                a._bump(out.grad * b_data)
-            if b.tape is tape:
-                b._bump(out.grad * a_data)
-
-        tape._record(backward)
-    return out
+    return _op(a.data * b.data, (a, b),
+               (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def concat_cols(tensors) -> Tensor:
@@ -212,40 +166,23 @@ def concat_cols(tensors) -> Tensor:
     n = tensors[0].rows
     if any(t.rows != n for t in tensors):
         raise ShapeError(f"concat_cols: row counts differ: {[t.rows for t in tensors]}")
-    tape = _out_tape(*tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=1), tape)
-    if tape is not None:
-        widths = [t.cols for t in tensors]
-        offsets = np.cumsum([0] + widths)
-
-        def backward():
-            if out.grad is None:
-                return
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.tape is tape:
-                    t._bump(out.grad[:, lo:hi])
-
-        tape._record(backward)
-    return out
+    offsets = np.cumsum([0] + [t.cols for t in tensors])
+    return _op(np.concatenate([t.data for t in tensors], axis=1), tensors,
+               [lambda g, lo=lo, hi=hi: g[:, lo:hi]
+                for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 def row_select(x: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
         raise ShapeError(f"row_select: index out of range for {x.rows} rows")
-    tape = _out_tape(x)
-    out = Tensor(x.data[idx], tape)
-    if tape is not None:
 
-        def backward():
-            if out.grad is None:
-                return
-            g = np.zeros_like(x.data)
-            np.add.at(g, idx, out.grad)
-            x._bump(g)
+    def vjp(g):
+        full = np.zeros_like(x.data)
+        np.add.at(full, idx, g)
+        return full
 
-        tape._record(backward)
-    return out
+    return _op(x.data[idx], (x,), (vjp,))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -257,32 +194,12 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         return x
     keep = 1.0 - rate
     mask = (rng.random(x.data.shape) < keep) / keep
-    tape = _out_tape(x)
-    out = Tensor(x.data * mask, tape)
-    if tape is not None:
-
-        def backward():
-            if out.grad is None:
-                return
-            x._bump(out.grad * mask)
-
-        tape._record(backward)
-    return out
+    return _op(x.data * mask, (x,), (lambda g: g * mask,))
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Reduce to a 1x1 scalar tensor."""
-    tape = _out_tape(x)
-    out = Tensor([[x.data.sum()]], tape)
-    if tape is not None:
-
-        def backward():
-            if out.grad is None:
-                return
-            x._bump(np.full_like(x.data, out.grad[0, 0]))
-
-        tape._record(backward)
-    return out
+    return _op([[x.data.sum()]], (x,), (lambda g: np.full_like(x.data, g[0, 0]),))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -315,18 +232,8 @@ def cross_entropy_smoothed(logits: Tensor, labels, smoothing: float) -> Tensor:
     target[np.arange(n), labels] = 1.0 - smoothing
 
     loss = -(target * log_p).sum() / n
-    tape = _out_tape(logits)
-    out = Tensor([[loss]], tape)
-    if tape is not None:
-        p = np.exp(log_p)
-
-        def backward():
-            if out.grad is None:
-                return
-            logits._bump(out.grad[0, 0] * (p - target) / n)
-
-        tape._record(backward)
-    return out
+    return _op([[loss]], (logits,),
+               (lambda g: g[0, 0] * (np.exp(log_p) - target) / n,))
 
 
 class AdamState:

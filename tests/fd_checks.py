@@ -9,6 +9,7 @@ against central finite differences of the recomputed scalar.
 import numpy as np
 
 from magsim import tensor as T
+from magsim.aggregation import MeanAggLayer, mean_aggregate
 from magsim.graph import CsrMatrix
 
 
@@ -53,6 +54,40 @@ def _case_spmm(rng):
         return T.sum_all(T.mul(T.spmm(adj, p["h"]), T.Tensor(c, None)))
 
     return {"h": h}, run
+
+
+def _case_mean_aggregate(rng):
+    adj = _random_adj(rng, 6)
+    alpha = float(rng.uniform(0.1, 0.9))
+    h = rng.standard_normal((6, 3))
+    c = rng.standard_normal((6, 3))
+
+    def run(p, tape):
+        return T.sum_all(T.mul(mean_aggregate(p["h"], adj, alpha), T.Tensor(c, None)))
+
+    return {"h": h}, run
+
+
+def _layer_case(rng, layer):
+    """One weighted aggregation layer, gradients in both h and the weight."""
+    adj = _random_adj(rng, 6)
+    h = rng.standard_normal((6, layer.in_dim))
+    w = rng.standard_normal(layer.weight_shape())
+    c = rng.standard_normal((6, layer.out_dim))
+
+    def run(p, tape):
+        return T.sum_all(T.mul(layer.forward(p["h"], adj, p["w"]), T.Tensor(c, None)))
+
+    return {"h": h, "w": w}, run
+
+
+def _case_narrowing_layer(rng):
+    # out_dim < in_dim: the layer propagates after the weight, P(HW)
+    return _layer_case(rng, MeanAggLayer(float(rng.uniform(0.1, 0.9)), 5, 2))
+
+
+def _case_ego_concat_layer(rng):
+    return _layer_case(rng, MeanAggLayer(0.5, 3, 2, variant="ego-concat"))
 
 
 def _case_relu(rng):
@@ -182,6 +217,9 @@ def _case_mlp_composite(rng):
 ALL_CASES = {
     "matmul": _case_matmul,
     "spmm": _case_spmm,
+    "mean_aggregate": _case_mean_aggregate,
+    "mean-agg-layer-narrowing": _case_narrowing_layer,
+    "ego-concat-layer": _case_ego_concat_layer,
     "relu": _case_relu,
     "add": _case_add,
     "add-bias": _case_add_bias,

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import fd_checks
+from magsim import aggregation
 from magsim import tensor as T
 from magsim.aggregation import (GnnStack, MeanAggLayer, ego_jacobian_diag,
                                 mean_aggregate)
-from magsim.errors import ContractError
+from magsim.errors import ContractError, ShapeError
 from magsim.graph import (CsrMatrix, Mag, ModalitySpec, SyntheticSpec,
                           generate)
 from magsim.models import IndependentAgg, JointGcn
@@ -51,9 +53,46 @@ def test_mean_aggregate_dense_oracle():
     assert np.max(np.abs(out.data - expected)) < 1e-12
 
 
+def test_mean_aggregate_rejects_malformed_adjacency():
+    # row-normalized but 2x3: the mixing operator alpha*I + (1-alpha)*A needs a square A
+    rect = CsrMatrix(2, 3, [0, 1, 2], [0, 2], [1.0, 1.0], normalized=True)
+    with pytest.raises(ShapeError):
+        mean_aggregate(T.Tensor(np.ones((3, 2))), rect, 0.5)
+    with pytest.raises(ShapeError):
+        ego_jacobian_diag(rect, 0.5, 1, 0)
+    with pytest.raises(TypeError):
+        mean_aggregate(T.Tensor(np.ones((3, 2))), np.eye(3), 0.5)
+
+
+def test_mean_aggregate_records_one_tape_node():
+    tape = T.Tape()
+    h = T.Tensor(np.ones((6, 2)), tape)
+    before = len(tape)
+    mean_aggregate(h, ring_adj(6), 0.4)
+    assert len(tape) == before + 1
+
+
 # ---------------------------------------------------------------------------
 # layers and stack
 # ---------------------------------------------------------------------------
+
+def test_narrowing_layer_transforms_before_propagating(monkeypatch):
+    rng = np.random.default_rng(5)
+    adj = fd_checks._random_adj(rng, 9)
+    h = rng.standard_normal((9, 6))
+    w = rng.standard_normal((6, 2))
+    widths = []
+
+    def spy(x, a, alpha):
+        widths.append(x.cols)
+        return mean_aggregate(x, a, alpha)
+
+    monkeypatch.setattr(aggregation, "mean_aggregate", spy)
+    out = MeanAggLayer(0.3, in_dim=6, out_dim=2).forward(T.Tensor(h), adj, T.Tensor(w))
+    assert widths == [2]                             # P(HW), at the output width
+    dense_p = 0.3 * np.eye(9) + 0.7 * adj.to_dense()
+    assert np.max(np.abs(out.data - (dense_p @ h) @ w)) < 1e-12   # == (PH)W
+
 
 def test_layer_alpha_bounds():
     for bad in (0.0, 1.0, -0.1, 1.5):
@@ -103,7 +142,8 @@ def _single_modality_mag():
 def test_joint_single_modality_is_plain_gcn():
     mag = _single_modality_mag()
     rng = np.random.default_rng(0)
-    model = JointGcn(rng, mag, hidden=8, num_layers=2, alpha=0.5, dropout=0.0)
+    model = JointGcn(rng, mag, hidden=8, num_layers=2, alpha=0.5, dropout=0.0,
+                     smoothing=0.1)
     out = model.forward(mag, mag.adjacency.row_normalize(), None,
                         training=False, rng=None)
     assert out["logits"].data.shape == (60, 3)
@@ -114,7 +154,8 @@ def test_joint_identical_rows_give_identical_logits():
     const = np.tile(mag.features["text"][0], (60, 1))
     mag = mag.with_features({"text": const})
     rng = np.random.default_rng(1)
-    model = JointGcn(rng, mag, hidden=8, num_layers=2, alpha=0.5, dropout=0.0)
+    model = JointGcn(rng, mag, hidden=8, num_layers=2, alpha=0.5, dropout=0.0,
+                     smoothing=0.1)
     # smoothing has a fixed point on row-constant input, except where
     # isolated nodes receive a zero neighbor mean
     active = mag.adjacency.degrees > 0
@@ -135,7 +176,7 @@ def test_independent_branch_symmetry():
     # identical features and identical branch parameters
     mag = mag.with_features({"a": mag.features["a"], "b": mag.features["a"]})
     model = IndependentAgg(np.random.default_rng(2), mag, hidden=6,
-                           num_layers=2, alpha=0.5, dropout=0.0)
+                           num_layers=2, alpha=0.5, dropout=0.0, smoothing=0.1)
     for pname in list(model.params):
         if pname.endswith("_b.w") or pname.endswith("_b.b"):
             model.params[pname][...] = model.params[pname.replace("_b.", "_a.")]
@@ -155,7 +196,7 @@ def test_independent_branch_symmetry():
 def test_independent_head_additivity():
     mag = _two_modality_mag()
     model = IndependentAgg(np.random.default_rng(3), mag, hidden=6,
-                           num_layers=1, alpha=0.5, dropout=0.0)
+                           num_layers=1, alpha=0.5, dropout=0.0, smoothing=0.1)
     norm_adj = mag.adjacency.row_normalize()
     full = model.forward(mag, norm_adj, None, training=False, rng=None)["logits"].data
     model.params["head.w"][:6, :] = 0.0     # zero branch a's slice of the head
@@ -169,7 +210,7 @@ def test_independent_head_additivity():
 def test_independent_dense_oracle():
     mag = _two_modality_mag()
     model = IndependentAgg(np.random.default_rng(4), mag, hidden=6,
-                           num_layers=1, alpha=0.4, dropout=0.0)
+                           num_layers=1, alpha=0.4, dropout=0.0, smoothing=0.1)
     norm_adj = mag.adjacency.row_normalize()
     logits = model.forward(mag, norm_adj, None, training=False, rng=None)["logits"].data
 

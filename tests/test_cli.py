@@ -2,6 +2,7 @@
 and byte-level reproducibility against golden files."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -192,6 +193,14 @@ def test_sweep_single_scale(tmp_path, config_path, dataset_dir, capsys):
     manifest = json.loads(open(out + ".manifest.json").read())
     assert manifest["scales"] == [0.0]
     assert "tau" in manifest["annotation"]["modalities"]["text"]
+
+
+def test_sweep_pool_is_shut_down(tmp_path, config_path, dataset_dir):
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep-noise", "--config", config_path, "--data", dataset_dir,
+                 "--out", out, "--scales", "0", "1", "--jobs", "2"]) == 0
+    assert len(open(out).read().splitlines()) == 1 + 2 * 3 * 3   # default kinds and seeds
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_csv_reproducible(tmp_path, config_path, dataset_dir):

@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import magsim
+from magsim import tensor as T
 from magsim.errors import ContractError
-from magsim.experiments import (CSV_SCHEMAS, TrainConfig, _fmt, accuracy,
-                                corruption_probe, derive_seed, macro_f1,
+from magsim.experiments import (CSV_SCHEMAS, MODEL_KINDS, TrainConfig, _fmt,
+                                accuracy, build_model, corruption_probe,
+                                derive_seed, macro_f1,
                                 sweep_noise, track_gradients, train,
                                 write_csv, write_manifest)
 
@@ -146,6 +149,20 @@ def test_supra_aux_loss_accounted(small_mag):
             row["loss_task"] + 0.7 * row["loss_aux"], rel=1e-12)
 
 
+def test_every_model_kind_shares_the_loss_path(small_mag):
+    norm_adj = small_mag.adjacency.row_normalize()
+    train_idx = small_mag.splits["train"]
+    for kind in MODEL_KINDS:
+        cfg = TrainConfig(kind=kind, hidden=4, smoothing=0.2)
+        model = build_model(cfg, small_mag, np.random.default_rng(0))
+        assert model.smoothing == 0.2
+        out = model.forward(small_mag, norm_adj, T.Tape(), True, np.random.default_rng(1))
+        losses = model.loss(out, small_mag.labels, train_idx)
+        assert set(losses) == {"total", "task", "aux"}
+        if kind != "supra":
+            assert losses["aux"] == {} and losses["total"] is losses["task"]
+
+
 def test_visual_mlp_needs_second_modality(census_mag):
     with pytest.raises(ContractError):
         train(census_mag, TrainConfig(kind="visual-mlp", max_epochs=1))
@@ -171,6 +188,13 @@ def test_sweep_row_count_is_cartesian(small_mag):
     seen = {(r["scale"], r["kind"], r["seed"]) for r in rows}
     assert len(seen) == 12
     assert all(set(r) == set(CSV_SCHEMAS["sweep"]) for r in rows)
+
+
+def test_sweep_accepts_generators(small_mag):
+    base = TrainConfig(hidden=8, max_epochs=2, patience=2, dropout=0.0)
+    rows, _ = sweep_noise(small_mag, (s for s in [0.0, 1.0]), (k for k in ["ef-mlp"]),
+                          (s for s in [0, 1]), base)
+    assert len(rows) == 4
 
 
 def test_sweep_annotation_reports_threshold(small_mag):
@@ -279,4 +303,4 @@ def test_write_manifest(tmp_path):
     assert doc["seed"] == 7
     assert doc["config"] == {"kind": "ef-mlp"}
     assert doc["rows"] == 12
-    assert "version" in doc
+    assert doc["version"] == magsim.__version__

@@ -27,6 +27,37 @@ def test_csr_validation_errors():
         CsrMatrix(1, 2, [0, 2], [1, 0], [1.0, 1.0])         # cols not sorted
 
 
+def test_csr_validation_names_the_disordered_row():
+    # row 3 follows an empty row and is out of order; the descent from
+    # row 1 into row 3 crosses a row boundary and is allowed
+    with pytest.raises(ShapeError, match=r"^row 3: column indices not strictly increasing$"):
+        CsrMatrix(5, 5, [0, 2, 3, 3, 5, 6], [1, 3, 4, 2, 0, 4], np.ones(6))
+    CsrMatrix(5, 5, [0, 2, 3, 3, 5, 6], [1, 3, 4, 0, 2, 4], np.ones(6))
+
+
+def _first_disordered_row(num_rows, offsets, cols):
+    """Per-row loop reference for the vectorised column-order check."""
+    for r in range(num_rows):
+        if np.any(np.diff(cols[offsets[r]:offsets[r + 1]]) <= 0):
+            return r
+    return None
+
+
+def test_csr_validation_matches_row_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        degrees = rng.integers(0, 4, n)
+        offsets = np.concatenate([[0], np.cumsum(degrees)])
+        cols = rng.integers(0, 5, int(offsets[-1]))
+        expected = _first_disordered_row(n, offsets, cols)
+        if expected is None:
+            CsrMatrix(n, 5, offsets, cols, np.ones(cols.size))
+        else:
+            with pytest.raises(ShapeError, match=rf"^row {expected}: "):
+                CsrMatrix(n, 5, offsets, cols, np.ones(cols.size))
+
+
 def test_csr_symmetry_from_undirected_edges():
     pairs = np.array([[0, 1], [1, 2], [0, 3]])
     adj = CsrMatrix.from_undirected_edges(pairs, 4)

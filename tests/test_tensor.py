@@ -201,6 +201,18 @@ def test_detached_tensors_get_no_gradient():
     assert np.array_equal(x.grad, [[3.0, 4.0]])
 
 
+def test_add_operand_gradients_accumulate_independently():
+    # x also feeds an op recorded before the add, so its gradient grows
+    # after the add has handed the same output gradient array to both operands
+    tape = T.Tape()
+    x = T.Tensor([[1.0, 2.0]], tape)
+    y = T.Tensor([[3.0, 4.0]], tape)
+    u = T.scale(x, 2.0)
+    tape.backward(T.sum_all(T.add(T.add(x, y), u)))
+    assert np.array_equal(x.grad, [[3.0, 3.0]])
+    assert np.array_equal(y.grad, [[1.0, 1.0]])
+
+
 def test_tape_isolation_detached_ops():
     tape = T.Tape()
     before = len(tape)
