@@ -85,12 +85,8 @@ class GnnStack:
                 self.layers.append(MeanAggLayer(alpha, d_in, hidden_dim, variant))
 
     def param_shapes(self, prefix: str) -> dict:
-        shapes = {}
-        for i, layer in enumerate(self.layers):
-            ws = layer.weight_shape()
-            if ws is not None:
-                shapes[f"{prefix}.w{i}"] = ws
-        return shapes
+        return {f"{prefix}.w{i}": layer.weight_shape()
+                for i, layer in enumerate(self.layers) if layer.has_weight}
 
     def forward(self, h: T.Tensor, adj: CsrMatrix, params: dict, prefix: str,
                 activation: bool = True) -> T.Tensor:

@@ -116,8 +116,7 @@ def predict(model, mag: Mag, norm_adj, rows) -> np.ndarray:
 
 
 def accuracy(preds, labels) -> float:
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
+    preds, labels = np.asarray(preds), np.asarray(labels)
     if preds.size == 0:
         raise ContractError("empty input")
     return float(np.mean(preds == labels))
@@ -129,8 +128,7 @@ def macro_f1(preds, labels, num_classes: int) -> float:
     A class with neither actual nor predicted instances is skipped; a class
     that is present but never correctly covered contributes 0.
     """
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
+    preds, labels = np.asarray(preds), np.asarray(labels)
     if preds.size == 0:
         raise ContractError("empty input")
     scores = []
@@ -306,9 +304,7 @@ CSV_SCHEMAS = {
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def write_csv(path: str, schema: str, rows):

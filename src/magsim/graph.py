@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +24,20 @@ from .errors import ContractError, DatasetError, ShapeError
 def _f32_grid(x: np.ndarray) -> np.ndarray:
     """Snap float64 values to the nearest float32, staying float64."""
     return x.astype(np.float32).astype(np.float64)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D integer array by one sort and an adjacent-difference
+    mask (np.unique itself may take a far slower hash path)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
+
+
+def _same(a, b) -> bool:
+    """Exact equality of arrays and plain values, recursing into dicts."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 class CsrMatrix:
@@ -36,7 +51,7 @@ class CsrMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         self.normalized = bool(normalized)
-        self._sp = self._sp_t = None
+        self._sp = self._sp_t = self._norm = None
         self._mix = {}               # alpha -> (P, P^T), see mix_operator
         self._validate()
 
@@ -61,6 +76,14 @@ class CsrMatrix:
             if sums.size and np.max(np.abs(sums - 1.0)) > 1e-12:
                 raise ShapeError("normalized flag set but row sums differ from 1")
 
+    def _args(self):
+        """The constructor arguments: what pickling and equality see, never the caches."""
+        return (self.num_rows, self.num_cols, self.row_offsets, self.col_indices,
+                self.values, self.normalized)
+
+    def __reduce__(self):
+        return (CsrMatrix, self._args())
+
     @property
     def nnz(self):
         return int(self.col_indices.shape[0])
@@ -73,30 +96,26 @@ class CsrMatrix:
     def from_undirected_edges(cls, pairs: np.ndarray, num_nodes: int) -> "CsrMatrix":
         """Build a symmetric 0/1 adjacency from unique undirected pairs."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((dst, src))
+        src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+        order = np.argsort(src * num_nodes + dst)    # unique keys: the lexsort order
         src, dst = src[order], dst[order]
-        counts = np.bincount(src, minlength=num_nodes)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=num_nodes))])
         return cls(num_nodes, num_nodes, offsets, dst, np.ones(dst.shape[0]))
 
     def row_normalize(self) -> "CsrMatrix":
-        """Divide each nonempty row by its sum (mean aggregation weights)."""
-        deg = self.degrees
-        row_ids = np.repeat(np.arange(self.num_rows), deg)
-        sums = np.zeros(self.num_rows)
-        np.add.at(sums, row_ids, self.values)
-        safe = np.where(sums == 0.0, 1.0, sums)
-        return CsrMatrix(self.num_rows, self.num_cols, self.row_offsets,
-                         self.col_indices, self.values / safe[row_ids],
-                         normalized=True)
+        """Cached copy with each nonempty row divided by its sum (mean weights)."""
+        if self._norm is None:
+            row_ids = np.repeat(np.arange(self.num_rows), self.degrees)
+            sums = np.bincount(row_ids, self.values, minlength=self.num_rows)
+            values = self.values / np.where(sums == 0.0, 1.0, sums)[row_ids]
+            self._norm = CsrMatrix(self.num_rows, self.num_cols, self.row_offsets,
+                                   self.col_indices, values, normalized=True)
+        return self._norm
 
     def scipy(self) -> sp.csr_matrix:
         if self._sp is None:
-            self._sp = sp.csr_matrix(
-                (self.values, self.col_indices, self.row_offsets),
-                shape=(self.num_rows, self.num_cols))
+            self._sp = sp.csr_matrix((self.values, self.col_indices, self.row_offsets),
+                                     shape=(self.num_rows, self.num_cols))
         return self._sp
 
     def scipy_t(self) -> sp.csr_matrix:
@@ -125,12 +144,7 @@ class CsrMatrix:
     def __eq__(self, other):
         if not isinstance(other, CsrMatrix):
             return NotImplemented
-        return (self.num_rows == other.num_rows
-                and self.num_cols == other.num_cols
-                and self.normalized == other.normalized
-                and np.array_equal(self.row_offsets, other.row_offsets)
-                and np.array_equal(self.col_indices, other.col_indices)
-                and np.array_equal(self.values, other.values))
+        return all(map(_same, self._args(), other._args()))
 
 
 @dataclass
@@ -158,7 +172,7 @@ class Mag:
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= c):
             raise ShapeError(f"label out of range [0,{c})")
         seen = np.concatenate([self.splits[k] for k in ("train", "val", "test")])
-        if seen.size != np.unique(seen).size:
+        if seen.size != _sorted_unique(seen).size:
             raise ShapeError("splits overlap")
         if seen.size and (seen.min() < 0 or seen.max() >= n):
             raise ShapeError("split index out of range")
@@ -175,30 +189,14 @@ class Mag:
     def modality_names(self):
         return [name for name, _ in self.modalities]
 
-    def with_features(self, features: dict, signals=...) -> "Mag":
+    def with_features(self, features: dict) -> "Mag":
         return Mag(self.num_nodes, self.num_classes, list(self.modalities),
-                   features, self.labels, self.splits, self.adjacency,
-                   self.signals if signals is ... else signals)
+                   features, self.labels, self.splits, self.adjacency, self.signals)
 
     def __eq__(self, other):
         if not isinstance(other, Mag):
             return NotImplemented
-        same_sig = (self.signals is None) == (other.signals is None)
-        if same_sig and self.signals is not None:
-            same_sig = (set(self.signals) == set(other.signals)
-                        and all(np.array_equal(self.signals[k], other.signals[k])
-                                for k in self.signals))
-        return (self.num_nodes == other.num_nodes
-                and self.num_classes == other.num_classes
-                and self.modalities == other.modalities
-                and set(self.features) == set(other.features)
-                and all(np.array_equal(self.features[k], other.features[k])
-                        for k in self.features)
-                and np.array_equal(self.labels, other.labels)
-                and all(np.array_equal(self.splits[k], other.splits[k])
-                        for k in ("train", "val", "test"))
-                and self.adjacency == other.adjacency
-                and same_sig)
+        return _same(vars(self), vars(other))
 
 
 @dataclass
@@ -267,9 +265,9 @@ def _draw_edges(rng, labels, num_classes, num_nodes, mean_degree, homophily):
             if others.size == 0:
                 raise ContractError("single-class graph cannot draw cross-class edges")
             partners[pick] = others[rng.integers(0, others.size, pick.sum())]
-    lo = np.minimum(init, partners)
-    hi = np.maximum(init, partners)
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    keys = _sorted_unique(np.minimum(init, partners) * num_nodes
+                          + np.maximum(init, partners))
+    pairs = np.stack(np.divmod(keys, num_nodes), axis=1)   # sorted (lo, hi)
     return pairs[pairs[:, 0] != pairs[:, 1]]
 
 
@@ -319,11 +317,10 @@ def measure_neighborhood_noise(mag: Mag, modality: str, beta: float) -> float:
         raise ContractError(f"unknown modality {modality!r}")
     if not 0.0 <= beta <= 1.0:
         raise ContractError(f"beta must be in [0,1], got {beta}")
-    norm_adj = mag.adjacency.row_normalize()
-    xbar = norm_adj.scipy() @ mag.features[modality]
-    resid = xbar - beta * mag.signals[modality][mag.labels]
     active = mag.adjacency.degrees > 0
-    return float(np.mean(np.sum(resid[active] ** 2, axis=1)))
+    resid = (mag.adjacency.row_normalize().scipy() @ mag.features[modality])[active]
+    resid -= beta * mag.signals[modality][mag.labels[active]]
+    return float(np.mean(np.sum(resid ** 2, axis=1)))
 
 
 def measure_alignment(mag: Mag, modality: str) -> float:
@@ -332,13 +329,10 @@ def measure_alignment(mag: Mag, modality: str) -> float:
     when class signals are orthogonal."""
     if mag.signals is None:
         raise ContractError("alignment needs stored class signals (synthetic data)")
-    norm_adj = mag.adjacency.row_normalize()
-    xbar = norm_adj.scipy() @ mag.features[modality]
-    sig = mag.signals[modality][mag.labels]
     active = mag.adjacency.degrees > 0
-    num = np.sum(xbar[active] * sig[active], axis=1)
-    den = np.sum(sig[active] ** 2, axis=1)
-    return float(np.mean(num / den))
+    xbar = (mag.adjacency.row_normalize().scipy() @ mag.features[modality])[active]
+    sig = mag.signals[modality][mag.labels[active]]
+    return float(np.mean(np.sum(xbar * sig, axis=1) / np.sum(sig ** 2, axis=1)))
 
 
 def inject_noise(mag: Mag, scale: float, seed: int) -> Mag:
@@ -368,9 +362,7 @@ def corrupt_modality(mag: Mag, modality: str, seed: int) -> Mag:
     test = mag.splits["test"]
     std = mag.features[modality].std(axis=0)
     x[test] = _f32_grid(rng.standard_normal((test.size, x.shape[1])) * std)
-    features = dict(mag.features)
-    features[modality] = x
-    return mag.with_features(features)
+    return mag.with_features({**mag.features, modality: x})
 
 
 # ---------------------------------------------------------------------------
@@ -379,31 +371,58 @@ def corrupt_modality(mag: Mag, modality: str, seed: int) -> Mag:
 
 def save(mag: Mag, directory: str):
     os.makedirs(directory, exist_ok=True)
-    meta = {
-        "num_nodes": mag.num_nodes,
-        "num_classes": mag.num_classes,
-        "modalities": [{"name": name, "dim": dim} for name, dim in mag.modalities],
-        "splits": {k: [int(i) for i in mag.splits[k]] for k in ("train", "val", "test")},
-        "labels": [int(y) for y in mag.labels],
-    }
+    meta = {"num_nodes": mag.num_nodes, "num_classes": mag.num_classes,
+            "modalities": [{"name": name, "dim": dim} for name, dim in mag.modalities],
+            "splits": {k: mag.splits[k].tolist() for k in ("train", "val", "test")},
+            "labels": mag.labels.tolist()}
     with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh)
+        fh.write(json.dumps(meta))
 
-    ro, ci = mag.adjacency.row_offsets, mag.adjacency.col_indices
-    lines = []
-    for src in range(mag.num_nodes):
-        for dst in ci[ro[src]:ro[src + 1]]:
-            if src < dst:                    # each undirected edge once
-                lines.append(f"{src},{dst}\n")
+    adj = mag.adjacency
+    src = np.repeat(np.arange(mag.num_nodes), adj.degrees)
+    upper = src < adj.col_indices                # each undirected edge once
+    flat = np.stack([src[upper], adj.col_indices[upper]], axis=1).ravel()
     with open(os.path.join(directory, "edges.csv"), "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        for i in range(0, flat.size, 1 << 17):            # 64k edges per write
+            chunk = flat[i:i + (1 << 17)].tolist()
+            fh.write("%d,%d\n" * (len(chunk) // 2) % tuple(chunk))
 
     for name, _dim in mag.modalities:
-        arr = mag.features[name].astype("<f4")
-        arr.tofile(os.path.join(directory, f"feat_{name}.f32"))
+        mag.features[name].astype("<f4").tofile(os.path.join(directory, f"feat_{name}.f32"))
         if mag.signals is not None and name in mag.signals:
-            mag.signals[name].astype("<f4").tofile(
-                os.path.join(directory, f"signals_{name}.f32"))
+            mag.signals[name].astype("<f4").tofile(os.path.join(directory, f"signals_{name}.f32"))
+
+
+def _ints(value, ndim: int) -> np.ndarray:
+    """A JSON integer (ndim 0) or list of integers (ndim 1) as int64."""
+    arr = np.asarray(value)
+    if arr.ndim != ndim or (arr.size and arr.dtype.kind not in "iu"):
+        raise TypeError(f"expected integer{'s' * ndim}, got {value!r:.40}")
+    return arr.astype(np.int64)
+
+
+def _read_edges(path: str) -> np.ndarray:
+    """The E x 2 pairs of edges.csv.  A file numpy's parser rejects is read again
+    line by line: that skips whitespace-only lines and names a malformed one."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)     # an empty file
+            rows = np.loadtxt(path, dtype="<i8,<i8", delimiter=",", ndmin=1, comments=None)
+        return rows.view(np.int64).reshape(-1, 2)
+    except FileNotFoundError:
+        raise DatasetError(f"missing {path}")
+    except ValueError:
+        pass
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    a, b = line.split(",")
+                    pairs.append((int(a), int(b)))
+                except ValueError:
+                    raise DatasetError(f"{path}:{ln}: expected 'src,dst', got {line.strip()!r}")
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def load(directory: str) -> Mag:
@@ -415,38 +434,24 @@ def load(directory: str) -> Mag:
         raise DatasetError(f"missing {meta_path}")
     except json.JSONDecodeError as exc:
         raise DatasetError(f"malformed {meta_path}: {exc}")
-
-    for key in ("num_nodes", "num_classes", "modalities", "splits", "labels"):
-        if key not in meta:
-            raise DatasetError(f"{meta_path}: missing key {key!r}")
-    n = int(meta["num_nodes"])
-    modalities = [(m["name"], int(m["dim"])) for m in meta["modalities"]]
-    labels = np.asarray(meta["labels"], dtype=np.int64)
-    splits = {k: np.asarray(meta["splits"][k], dtype=np.int64)
-              for k in ("train", "val", "test")}
-    seen = np.concatenate(list(splits.values()))
-    if seen.size != np.unique(seen).size:
-        raise DatasetError(f"{meta_path}: splits overlap")
+    try:
+        n, c = (int(_ints(meta[k], 0)) for k in ("num_nodes", "num_classes"))
+        modalities = [(m["name"], int(_ints(m["dim"], 0))) for m in meta["modalities"]]
+        labels = _ints(meta["labels"], 1)
+        splits = {k: _ints(meta["splits"][k], 1) for k in ("train", "val", "test")}
+        if n < 0 or not all(isinstance(name, str) for name, _ in modalities):
+            raise ValueError("negative num_nodes or a non-string modality name")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"{meta_path}: bad or missing field ({type(exc).__name__}: {exc})")
 
     edges_path = os.path.join(directory, "edges.csv")
-    pairs = []
-    try:
-        with open(edges_path, encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    a, b = line.split(",")
-                    pairs.append((int(a), int(b)))
-                except ValueError:
-                    raise DatasetError(f"{edges_path}:{ln}: expected 'src,dst', got {line!r}")
-    except FileNotFoundError:
-        raise DatasetError(f"missing {edges_path}")
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = _read_edges(edges_path)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise DatasetError(f"{edges_path}: node index out of range")
-    adjacency = CsrMatrix.from_undirected_edges(pairs, n)
+    try:
+        adjacency = CsrMatrix.from_undirected_edges(pairs, n)
+    except ShapeError as exc:               # a row with a repeated column
+        raise DatasetError(f"{edges_path}: self-loop or duplicate edge ({exc})")
 
     features, signals = {}, {}
     for name, dim in modalities:
@@ -461,13 +466,12 @@ def load(directory: str) -> Mag:
         sig_path = os.path.join(directory, f"signals_{name}.f32")
         if os.path.exists(sig_path):
             sraw = np.fromfile(sig_path, dtype="<f4")
-            c = int(meta["num_classes"])
             if sraw.size != c * dim:
                 raise DatasetError(f"{sig_path}: expected {c * dim} floats, found {sraw.size}")
             signals[name] = sraw.astype(np.float64).reshape(c, dim)
 
     try:
-        return Mag(n, int(meta["num_classes"]), modalities, features, labels,
-                   splits, adjacency, signals or None)
+        return Mag(n, c, modalities, features, labels, splits, adjacency,
+                   signals or None)
     except ShapeError as exc:
         raise DatasetError(f"{directory}: {exc}")

@@ -72,6 +72,22 @@ def test_installed_entry_point():
     assert "gen" in out.stdout and "theory" in out.stdout
 
 
+def run_module(*argv):
+    """``python -m magsim ARGV`` with this checkout's package on the path."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "magsim", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = run_module("--help")
+    assert out.returncode == 0
+    assert "gen" in out.stdout and "theory" in out.stdout
+    assert run_module("train", "--data", str(tmp_path / "nowhere")).returncode == 3
+
+
 # ---------------------------------------------------------------------------
 # config errors
 # ---------------------------------------------------------------------------
@@ -101,6 +117,41 @@ def test_missing_config_file_is_io_error(tmp_path):
 def test_missing_data_dir_is_io_error(tmp_path, config_path):
     assert main(["train", "--config", config_path,
                  "--data", str(tmp_path / "nowhere")]) == 3
+
+
+def _rewrite_meta(edit):
+    def apply(directory):
+        path = os.path.join(directory, "meta.json")
+        with open(path) as fh:
+            meta = json.load(fh)
+        edit(meta)
+        with open(path, "w") as fh:
+            json.dump(meta, fh)
+    return apply
+
+
+def _append_edge(line_of):
+    def apply(directory):
+        path = os.path.join(directory, "edges.csv")
+        with open(path) as fh:
+            first = fh.readline()
+        with open(path, "a") as fh:
+            fh.write(line_of(first))
+    return apply
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("meta.json", _rewrite_meta(lambda m: m["splits"].pop("val"))),
+    ("meta.json", _rewrite_meta(lambda m: m["modalities"][0].pop("dim"))),
+    ("meta.json", _rewrite_meta(lambda m: m.update(num_classes="3"))),
+    ("edges.csv", _append_edge(lambda first: "4,4\n")),          # a self-loop
+    ("edges.csv", _append_edge(lambda first: first)),             # a duplicate edge
+], ids=["no-val-split", "no-dim", "string-count", "self-loop", "duplicate-edge"])
+def test_malformed_dataset_is_io_error(tmp_path, config_path, dataset_dir, capsys,
+                                       name, edit):
+    edit(dataset_dir)
+    assert main(["train", "--config", config_path, "--data", dataset_dir]) == 3
+    assert name in capsys.readouterr().err
 
 
 def test_bad_train_key_rejected(tmp_path, dataset_dir):

@@ -1,15 +1,21 @@
 """Graph data model, synthetic generator calibration, and disk format."""
 
+import json
 import os
+import pickle
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import three_node_mag
 from magsim.errors import ContractError, DatasetError, ShapeError
 from magsim.graph import (CsrMatrix, Mag, ModalitySpec, SyntheticSpec,
-                          corrupt_modality, generate, inject_noise, load,
-                          measure_alignment, measure_neighborhood_noise, save)
+                          _sorted_unique, corrupt_modality, generate,
+                          inject_noise, load, measure_alignment,
+                          measure_neighborhood_noise, save)
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +366,195 @@ def test_save_is_byte_deterministic(small_mag, tmp_path):
         with open(os.path.join(d2, name), "rb") as fh:
             b2 = fh.read()
         assert b1 == b2, name
+
+
+# ---------------------------------------------------------------------------
+# vectorised edge writer and parser
+# ---------------------------------------------------------------------------
+
+def per_edge_csv(mag):
+    """The per-edge serialisation of edges.csv, kept as the writer's oracle."""
+    ro, ci = mag.adjacency.row_offsets, mag.adjacency.col_indices
+    lines = []
+    for src in range(mag.num_nodes):
+        for dst in ci[ro[src]:ro[src + 1]]:
+            if src < dst:
+                lines.append(f"{src},{dst}\n")
+    return "".join(lines)
+
+
+def graph_with_edges(n, pairs, seed=0):
+    """An n-node, 2-class graph on the given undirected pairs."""
+    rng = np.random.default_rng(seed)
+    pairs = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    features = {"text": rng.standard_normal((n, 3)).astype(np.float32).astype(np.float64)}
+    splits = {"train": np.arange(0, n - 2), "val": np.array([n - 2]),
+              "test": np.array([n - 1])}
+    return Mag(n, 2, [("text", 3)], features, rng.integers(0, 2, n), splits,
+               CsrMatrix.from_undirected_edges(pairs, n))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(3, 40))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] < p[1]), max_size=3 * n))
+    if draw(st.booleans()):
+        pairs.add((draw(st.integers(0, n - 2)), n - 1))   # an edge to the last node
+    return graph_with_edges(n, pairs, draw(st.integers(0, 2 ** 16)))
+
+
+def _round_trip(mag, d):
+    save(mag, d)
+    with open(os.path.join(d, "edges.csv"), "rb") as fh:
+        assert fh.read() == per_edge_csv(mag).encode()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load(d) == mag
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_edge_writer_and_parser_match_per_edge_format(tmp_path_factory, mag):
+    _round_trip(mag, str(tmp_path_factory.mktemp("ds")))
+
+
+@pytest.mark.parametrize("n,pairs", [
+    (5, []),                                   # zero edges
+    (6, [(0, 1), (1, 3)]),                     # isolated nodes 2, 4, 5
+    (4, [(0, 3), (2, 3)]),                     # edges to node N-1
+    (3, [(0, 1), (0, 2), (1, 2)]),
+])
+def test_edge_round_trip_cases(tmp_path, n, pairs):
+    _round_trip(graph_with_edges(n, pairs), str(tmp_path / "ds"))
+
+
+def test_save_writes_edges_in_bounded_chunks(tmp_path):
+    # more edges than one formatting chunk (64k edges) of the writer
+    n = 500
+    pairs = {(a, b) for a in range(n) for b in range(a + 1, min(n, a + 200))}
+    mag = graph_with_edges(n, pairs)
+    assert len(pairs) > 1 << 16
+    _round_trip(mag, str(tmp_path / "ds"))
+
+
+@pytest.mark.parametrize("text", [
+    "0,1\n\n1,2\n",                       # a blank line
+    " 0 , 1 \n\t1,\t2\n",                 # whitespace around fields
+    "0,1\n   \n1,2\n\n",                  # a whitespace-only line
+    "0,1\r\n1,2\r\n",                      # CRLF line ends
+])
+def test_edges_parse_blank_lines_and_whitespace(tmp_path, text):
+    d = tmp_path / "ds"
+    save(three_node_mag(), str(d))
+    (d / "edges.csv").write_bytes(text.encode())
+    assert np.array_equal(load(str(d)).adjacency.to_dense(),
+                          [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+
+@pytest.mark.parametrize("text,line", [
+    ("0,1\n\n7;9\n", 3),
+    ("0,1\n1,2,0\n", 2),
+    ("1\n", 1),
+    ("0,x\n", 1),
+    ("0,1.0\n", 1),
+])
+def test_malformed_edge_line_names_its_number(tmp_path, text, line):
+    d = tmp_path / "ds"
+    save(three_node_mag(), str(d))
+    (d / "edges.csv").write_text(text)
+    with pytest.raises(DatasetError, match=rf"edges\.csv:{line}: expected 'src,dst'"):
+        load(str(d))
+
+
+@pytest.mark.parametrize("text", ["0,0\n", "0,1\n0,1\n", "0,1\n1,0\n", "1,2\n2,2\n"])
+def test_self_loop_or_duplicate_edge_is_dataset_error(tmp_path, text):
+    d = tmp_path / "ds"
+    save(three_node_mag(), str(d))
+    (d / "edges.csv").write_text(text)
+    with pytest.raises(DatasetError, match=r"edges\.csv: self-loop or duplicate edge"):
+        load(str(d))
+
+
+def _edit_meta(d, edit):
+    path = os.path.join(d, "meta.json")
+    with open(path) as fh:
+        meta = json.load(fh)
+    edit(meta)
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["splits"].pop("val"),
+    lambda m: m["modalities"][0].pop("dim"),
+    lambda m: m.pop("labels"),
+    lambda m: m.update(num_nodes="many"),
+    lambda m: m.update(num_nodes=2.5),
+    lambda m: m.update(num_nodes=-1),
+    lambda m: m.update(modalities=5),
+    lambda m: m["modalities"][0].update(name=["text"]),
+    lambda m: m["modalities"][0].update(dim=True),
+    lambda m: m.update(labels=[0.5] * len(m["labels"])),
+    lambda m: m["splits"].update(train=[m["splits"]["train"]]),
+    lambda m: m.update(splits=[]),
+], ids=["no-val-split", "no-dim", "no-labels", "string-count", "float-count",
+        "negative-count", "modalities-not-list", "list-name", "bool-dim",
+        "float-labels", "nested-split", "splits-not-object"])
+def test_malformed_meta_field_is_dataset_error(small_mag, tmp_path, edit):
+    d = str(tmp_path / "ds")
+    save(small_mag, d)
+    _edit_meta(d, edit)
+    with pytest.raises(DatasetError, match="meta.json"):
+        load(d)
+
+
+# ---------------------------------------------------------------------------
+# one-key edge sort and dedupe, cached normalization
+# ---------------------------------------------------------------------------
+
+def test_key_dedupe_matches_unique_rows():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        a, b = rng.integers(0, n, (2, int(rng.integers(0, 300))))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = _sorted_unique(lo * n + hi)
+        expected = np.unique(np.stack([lo, hi], 1), axis=0).reshape(-1, 2)
+        assert np.array_equal(np.stack(np.divmod(keys, n), axis=1), expected)
+
+
+def test_key_argsort_matches_lexsort():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        n = int(rng.integers(2, 50))
+        a, b = rng.integers(0, n, (2, int(rng.integers(0, 200))))
+        keys = _sorted_unique(np.minimum(a, b) * n + np.maximum(a, b))
+        pairs = np.stack(np.divmod(keys, n), axis=1)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        order = np.lexsort((dst, src))
+        adj = CsrMatrix.from_undirected_edges(pairs, n)
+        assert np.array_equal(adj.col_indices, dst[order])
+        assert np.array_equal(adj.row_offsets,
+                              np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]))
+
+
+def test_row_normalize_is_cached_once_per_matrix(small_mag):
+    adj = small_mag.adjacency
+    assert adj.row_normalize() is adj.row_normalize()
+    assert inject_noise(small_mag, 0.5, 1).adjacency.row_normalize() is adj.row_normalize()
+
+
+def test_caches_stay_out_of_pickles():
+    mag = generate(SyntheticSpec(300, 3, [ModalitySpec("text", 8)], seed=4))
+    size = len(pickle.dumps(mag))
+    norm = mag.adjacency.row_normalize()
+    norm.mix_operator(0.5)
+    norm.scipy_t()
+    assert len(pickle.dumps(mag)) == size
+    assert len(pickle.dumps(norm)) == len(pickle.dumps(CsrMatrix(*norm._args())))
+    copy = pickle.loads(pickle.dumps(mag))
+    assert copy == mag
+    assert copy.adjacency.row_normalize() == norm
