@@ -67,7 +67,8 @@ class MeanAggLayer:
 
 
 class GnnStack:
-    """L aggregation layers with ReLU between them (none after the last)."""
+    """L aggregation layers with ReLU between them (none after the last),
+    optionally with a linear head folded into the last layer."""
 
     def __init__(self, num_layers: int, alpha: float, hidden_dim=None,
                  in_dim=None, variant="mean-mix"):
@@ -89,9 +90,18 @@ class GnnStack:
                 for i, layer in enumerate(self.layers) if layer.has_weight}
 
     def forward(self, h: T.Tensor, adj: CsrMatrix, params: dict, prefix: str,
-                activation: bool = True) -> T.Tensor:
+                activation: bool = True, head: T.Tensor | None = None) -> T.Tensor:
+        """With a ``head`` weight (hidden x C) the last layer uses W_last @ head:
+        the linear head folded in, so a mean-mix layer returns P(H W_last head)
+        and its sparse product and backward run at width C.  The head's bias
+        is the caller's to add after P, whose rows sum to alpha at isolated
+        nodes."""
         for i, layer in enumerate(self.layers):
             w = params.get(f"{prefix}.w{i}")
+            if head is not None and i + 1 == self.num_layers:
+                if w is None:
+                    raise ContractError("a folded head needs a weighted last layer")
+                w = T.matmul(w, head)
             h = layer.forward(h, adj, w)
             if activation and i + 1 < self.num_layers:
                 h = T.relu(h)

@@ -19,8 +19,7 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .errors import ContractError, MagsimError
-from .graph import Mag, corrupt_modality, inject_noise, measure_alignment, \
-    measure_neighborhood_noise
+from .graph import Mag, _calibrate, corrupt_modality, inject_noise
 from .models import IndependentAgg, JointGcn, MlpModel
 from .supra import SupraConfig, SupraModel
 from .theory import tau
@@ -232,8 +231,7 @@ def sweep_noise(mag: Mag, scales, kinds, seeds, base_cfg: TrainConfig,
     annotation = {"modalities": {}}
     if mag.signals is not None:
         for name in mag.features:
-            beta_hat = measure_alignment(mag, name)
-            sigma_n = measure_neighborhood_noise(mag, name, beta_hat)
+            beta_hat, sigma_n = _calibrate(mag, name)
             annotation["modalities"][name] = {
                 "beta_hat": beta_hat, "sigma_n_sq_hat": sigma_n,
                 "tau": tau(base_cfg.alpha, beta_hat, sigma_n)}

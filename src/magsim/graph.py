@@ -223,6 +223,12 @@ class SyntheticSpec:
         if self.mean_degree < 1:
             raise ContractError(f"mean_degree must be >= 1, got {self.mean_degree}")
         for m in self.modalities:
+            if not (np.isfinite(m.noise_var) and m.noise_var >= 0):
+                raise ContractError(f"modality {m.name}: noise_var must be finite "
+                                    f"and >= 0, got {m.noise_var}")
+            if not np.isfinite(m.signal_norm):
+                raise ContractError(f"modality {m.name}: signal_norm must be finite, "
+                                    f"got {m.signal_norm}")
             if m.dim < self.num_classes:
                 raise ContractError(
                     f"modality {m.name}: dim {m.dim} < num_classes "
@@ -307,39 +313,58 @@ def generate(spec: SyntheticSpec) -> Mag:
     return Mag(n, c, modalities, features, labels, splits, adjacency, signals)
 
 
+def _neighborhood_means(mag: Mag, modality: str):
+    """The neighborhood means of the non-isolated nodes and their own class
+    signals: one sparse product, the operands of both calibration estimates."""
+    if mag.signals is None:
+        raise ContractError("calibration needs stored class signals (synthetic data)")
+    if modality not in mag.features:
+        raise ContractError(f"unknown modality {modality!r}")
+    active = mag.adjacency.degrees > 0
+    xbar = (mag.adjacency.row_normalize().scipy() @ mag.features[modality])[active]
+    return xbar, mag.signals[modality][mag.labels[active]]
+
+
+def _alignment(xbar, sig) -> float:
+    return float(np.mean(np.sum(xbar * sig, axis=1) / np.sum(sig ** 2, axis=1)))
+
+
+def _noise_power(xbar, sig, beta: float) -> float:
+    if not 0.0 <= beta <= 1.0:
+        raise ContractError(f"beta must be in [0,1], got {beta}")
+    resid = beta * sig                       # in place from here: one N x d temporary
+    np.subtract(xbar, resid, out=resid)
+    resid **= 2
+    return float(np.mean(np.sum(resid, axis=1)))
+
+
+def _calibrate(mag: Mag, modality: str) -> tuple:
+    """(beta_hat, sigma_n^2 hat) of one modality from one neighborhood mean:
+    measure_alignment, then measure_neighborhood_noise at that beta."""
+    xbar, sig = _neighborhood_means(mag, modality)
+    beta = _alignment(xbar, sig)
+    return beta, _noise_power(xbar, sig, beta)
+
+
 def measure_neighborhood_noise(mag: Mag, modality: str, beta: float) -> float:
     """Mean squared norm of the neighborhood-average residual against
     beta times the node's own class signal.  Needs stored class signals,
     so synthetic graphs only.  Isolated nodes are excluded."""
-    if mag.signals is None:
-        raise ContractError("neighborhood noise needs stored class signals (synthetic data)")
-    if modality not in mag.features:
-        raise ContractError(f"unknown modality {modality!r}")
-    if not 0.0 <= beta <= 1.0:
-        raise ContractError(f"beta must be in [0,1], got {beta}")
-    active = mag.adjacency.degrees > 0
-    resid = (mag.adjacency.row_normalize().scipy() @ mag.features[modality])[active]
-    resid -= beta * mag.signals[modality][mag.labels[active]]
-    return float(np.mean(np.sum(resid ** 2, axis=1)))
+    return _noise_power(*_neighborhood_means(mag, modality), beta)
 
 
 def measure_alignment(mag: Mag, modality: str) -> float:
     """Empirical alignment of the neighborhood mean with the node's own
     class signal: E[<xbar_N, s_v>] / ||s_v||^2.  Equals the homophily level
     when class signals are orthogonal."""
-    if mag.signals is None:
-        raise ContractError("alignment needs stored class signals (synthetic data)")
-    active = mag.adjacency.degrees > 0
-    xbar = (mag.adjacency.row_normalize().scipy() @ mag.features[modality])[active]
-    sig = mag.signals[modality][mag.labels[active]]
-    return float(np.mean(np.sum(xbar * sig, axis=1) / np.sum(sig ** 2, axis=1)))
+    return _alignment(*_neighborhood_means(mag, modality))
 
 
 def inject_noise(mag: Mag, scale: float, seed: int) -> Mag:
     """Add scale * sigma_feat * standard Gaussian to every modality, where
     sigma_feat is that modality's empirical feature standard deviation."""
-    if scale < 0:
-        raise ContractError(f"noise scale must be >= 0, got {scale}")
+    if not (np.isfinite(scale) and scale >= 0):
+        raise ContractError(f"noise scale must be finite and >= 0, got {scale}")
     if scale == 0:
         return mag.with_features(dict(mag.features))
     rng = np.random.default_rng(seed)
@@ -413,15 +438,19 @@ def _read_edges(path: str) -> np.ndarray:
         raise DatasetError(f"missing {path}")
     except ValueError:
         pass
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc})")
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    a, b = line.split(",")
-                    pairs.append((int(a), int(b)))
-                except ValueError:
-                    raise DatasetError(f"{path}:{ln}: expected 'src,dst', got {line.strip()!r}")
+    for ln, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                a, b = line.split(",")
+                pairs.append((int(a), int(b)))
+            except ValueError:
+                raise DatasetError(f"{path}:{ln}: expected 'src,dst', got {line.strip()!r}")
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 

@@ -103,7 +103,9 @@ class MlpModel(Model):
 
 class JointGcn(Model):
     """Joint aggregation: early-fused features projected once, then routed
-    through L mean-aggregation layers and a linear head."""
+    through L mean-aggregation layers and a linear head (folded into the
+    last layer's weight; a mean-mix last layer propagates at the class
+    width)."""
 
     def __init__(self, rng, mag: Mag, hidden, num_layers, alpha, dropout, smoothing,
                  variant="mean-mix"):
@@ -121,13 +123,15 @@ class JointGcn(Model):
         x = _concat_features(mag, mag.modality_names())
         h = T.relu(_linear(p, "proj", x))
         h = T.dropout(h, self.dropout, rng, training)
-        h = self.stack.forward(h, norm_adj, p, "gnn")
-        return {"logits": _linear(p, "head", h)}
+        h = self.stack.forward(h, norm_adj, p, "gnn", head=p["head.w"])
+        return {"logits": T.add(h, p["head.b"])}
 
 
 class IndependentAgg(Model):
     """Independent aggregation: one GNN branch per modality, outputs
-    concatenated into a shared linear fusion head."""
+    concatenated into a shared linear fusion head.  The concat is never
+    formed: each branch folds its own row block of the head into its last
+    layer, and the branch logits are summed before the one bias."""
 
     def __init__(self, rng, mag: Mag, hidden, num_layers, alpha, dropout, smoothing):
         super().__init__(smoothing)
@@ -144,14 +148,15 @@ class IndependentAgg(Model):
 
     def forward(self, mag, norm_adj, tape, training, rng):
         p = self.wrap(tape)
-        outs = []
-        for name, _dim in mag.modalities:
+        logits = None
+        for i, (name, _dim) in enumerate(mag.modalities):
             x = T.Tensor(mag.features[name], None)
             h = T.relu(_linear(p, f"proj_{name}", x))
             h = T.dropout(h, self.dropout, rng, training)
-            h = self.stacks[name].forward(h, norm_adj, p, f"gnn_{name}")
-            outs.append(h)
-        return {"logits": _linear(p, "head", T.concat_cols(outs))}
+            block = T.row_select(p["head.w"], np.arange(i * self.hidden, (i + 1) * self.hidden))
+            h = self.stacks[name].forward(h, norm_adj, p, f"gnn_{name}", head=block)
+            logits = h if logits is None else T.add(logits, h)
+        return {"logits": T.add(logits, p["head.b"])}
 
     def branches(self):
         out = {}

@@ -73,18 +73,19 @@ class SupraModel(Model):
             aux_logits[name] = _linear(p, f"head_{name}", z)
 
         h_s = T.concat_cols([z_unique[name] for name, _ in self.modalities])
-        z_s = self.stack.forward(h_s, norm_adj, p, "synergy")
-        head_s = _linear(p, "head_s", z_s)
+        # head_s is folded into the last synergy layer, its bias added after P
+        synergy_logits = T.add(
+            self.stack.forward(h_s, norm_adj, p, "synergy", head=p["head_s.w"]), p["head_s.b"])
 
         if cfg.variant == "synergy-only":
-            y_final = head_s
+            y_final = synergy_logits
         else:
-            total = head_s
+            total = synergy_logits
             for name, _dim in self.modalities:
                 total = T.add(total, aux_logits[name])
             y_final = T.scale(total, 1.0 / (len(self.modalities) + 1))
 
-        return {"logits": y_final, "z_unique": z_unique, "z_synergy": z_s,
+        return {"logits": y_final, "z_unique": z_unique, "synergy_logits": synergy_logits,
                 "aux_logits": aux_logits}
 
     def loss(self, outputs, labels, train_idx):
@@ -132,14 +133,32 @@ def save_checkpoint(model: Model, path: str):
 
 
 def load_checkpoint(model: Model, path: str):
+    """Load a checkpoint written by ``save_checkpoint`` into ``model``.  The
+    file must hold exactly the model's parameter names and shapes and no
+    byte more; anything else raises ContractError before a value is copied."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ContractError(f"{path}: not a checkpoint file")
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        for name, shape in manifest["params"]:
-            if name not in model.params:
-                raise ContractError(f"{path}: unexpected parameter {name!r}")
-            n = int(np.prod(shape))
-            arr = np.frombuffer(fh.read(n * 8), dtype="<f8").reshape(shape)
-            model.params[name][...] = arr
+        raw = fh.read()
+    if raw[:4] != _MAGIC:
+        raise ContractError(f"{path}: not a checkpoint file")
+    try:
+        (mlen,) = struct.unpack_from("<I", raw, 4)
+        manifest = json.loads(raw[8:8 + mlen].decode("utf-8"))
+        entries = [(str(name), tuple(shape)) for name, shape in manifest["params"]]
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise ContractError(f"{path}: malformed header ({type(exc).__name__}: {exc})")
+    names = [name for name, _ in entries]
+    if names != sorted(model.params):
+        diff = sorted(set(names) ^ set(model.params)) or names
+        raise ContractError(f"{path}: parameter names differ from the model's: {diff}")
+    for name, shape in entries:
+        if shape != model.params[name].shape:
+            raise ContractError(f"{path}: {name} has shape {list(shape)}, "
+                                f"the model's is {list(model.params[name].shape)}")
+    offset = 8 + mlen
+    expected = offset + 8 * sum(model.params[name].size for name in names)
+    if len(raw) != expected:
+        raise ContractError(f"{path}: {len(raw)} bytes, expected {expected}")
+    for name in names:
+        target = model.params[name]
+        target[...] = np.frombuffer(raw, "<f8", target.size, offset).reshape(target.shape)
+        offset += 8 * target.size

@@ -1,5 +1,7 @@
 """Shared fixtures: small synthetic graphs and a hand-built 3-node one."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,28 @@ def three_node_mag():
         splits={"train": np.array([0]), "val": np.array([1]), "test": np.array([2])},
         adjacency=adjacency,
     )
+
+
+def isolated_node_mag(seed=5):
+    """Two-modality synthetic graph whose node 0 has lost all its edges: the
+    mean-mix operator's row sums there are alpha, not 1."""
+    mag = generate(SyntheticSpec(40, 3, [ModalitySpec("text", 5, 1.0, 0.2),
+                                         ModalitySpec("visual", 4, 1.0, 0.4)],
+                                 homophily=0.7, mean_degree=4, seed=seed))
+    adj = mag.adjacency
+    src = np.repeat(np.arange(adj.num_rows), adj.degrees)
+    keep = (src < adj.col_indices) & (src != 0)
+    pairs = np.stack([src[keep], adj.col_indices[keep]], axis=1)
+    mag = dataclasses.replace(mag, adjacency=CsrMatrix.from_undirected_edges(pairs, 40))
+    assert mag.adjacency.degrees[0] == 0 and mag.adjacency.nnz > 0
+    return mag
+
+
+def randomize_params(model, seed=0):
+    """Every parameter, biases included, set to standard normal draws."""
+    rng = np.random.default_rng(seed)
+    for value in model.params.values():
+        value[...] = rng.standard_normal(value.shape)
 
 
 @pytest.fixture

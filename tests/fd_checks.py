@@ -9,7 +9,7 @@ against central finite differences of the recomputed scalar.
 import numpy as np
 
 from magsim import tensor as T
-from magsim.aggregation import MeanAggLayer, mean_aggregate
+from magsim.aggregation import GnnStack, MeanAggLayer, mean_aggregate
 from magsim.graph import CsrMatrix
 
 
@@ -88,6 +88,24 @@ def _case_narrowing_layer(rng):
 
 def _case_ego_concat_layer(rng):
     return _layer_case(rng, MeanAggLayer(0.5, 3, 2, variant="ego-concat"))
+
+
+def _case_folded_head(rng):
+    # a 2-layer mean-mix stack with a C=2 head folded into its last layer:
+    # gradients reach both layer weights and the head through W1 @ head
+    adj = _random_adj(rng, 6)
+    stack = GnnStack(2, float(rng.uniform(0.1, 0.9)), hidden_dim=4, in_dim=3)
+    x = rng.standard_normal((6, 3))
+    c = rng.standard_normal((6, 2))
+    arrays = {"w0": rng.standard_normal((3, 4)), "w1": rng.standard_normal((4, 4)),
+              "head": rng.standard_normal((4, 2))}
+
+    def run(p, tape):
+        params = {"gnn.w0": p["w0"], "gnn.w1": p["w1"]}
+        out = stack.forward(T.Tensor(x, None), adj, params, "gnn", head=p["head"])
+        return T.sum_all(T.mul(out, T.Tensor(c, None)))
+
+    return arrays, run
 
 
 def _case_relu(rng):
@@ -220,6 +238,7 @@ ALL_CASES = {
     "mean_aggregate": _case_mean_aggregate,
     "mean-agg-layer-narrowing": _case_narrowing_layer,
     "ego-concat-layer": _case_ego_concat_layer,
+    "folded-head": _case_folded_head,
     "relu": _case_relu,
     "add": _case_add,
     "add-bias": _case_add_bias,

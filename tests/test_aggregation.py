@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fd_checks
+from conftest import isolated_node_mag, randomize_params
 from magsim import aggregation
 from magsim import tensor as T
 from magsim.aggregation import (GnnStack, MeanAggLayer, ego_jacobian_diag,
@@ -118,6 +119,33 @@ def test_layer_missing_weight_errors():
         layer.forward(T.Tensor(np.ones((2, 2))), adj)
 
 
+def test_folded_head_propagates_at_class_width(monkeypatch):
+    rng = np.random.default_rng(6)
+    adj = fd_checks._random_adj(rng, 9)
+    stack = GnnStack(2, 0.3, hidden_dim=6, in_dim=5)
+    params = {k: T.Tensor(rng.standard_normal(s)) for k, s in stack.param_shapes("g").items()}
+    head = T.Tensor(rng.standard_normal((6, 2)))
+    h = T.Tensor(rng.standard_normal((9, 5)))
+    widths = []
+
+    def spy(x, a, alpha):
+        widths.append(x.cols)
+        return mean_aggregate(x, a, alpha)
+
+    monkeypatch.setattr(aggregation, "mean_aggregate", spy)
+    folded = stack.forward(h, adj, params, "g", head=head).data
+    assert widths == [6, 2]                        # the last product at width C
+    unfolded = stack.forward(h, adj, params, "g").data @ head.data
+    assert np.max(np.abs(folded - unfolded)) < 1e-12
+
+
+def test_folded_head_needs_a_weighted_last_layer():
+    adj = ring_adj(4)
+    with pytest.raises(ContractError):
+        GnnStack(2, 0.5).forward(T.Tensor(np.ones((4, 2))), adj, {}, "g",
+                                 head=T.Tensor(np.ones((2, 3))))
+
+
 def test_stack_needs_a_layer():
     with pytest.raises(ContractError):
         GnnStack(0, 0.5)
@@ -223,6 +251,39 @@ def test_independent_dense_oracle():
         outs.append(h)
     expected = np.concatenate(outs, axis=1) @ model.params["head.w"] + model.params["head.b"]
     assert np.max(np.abs(logits - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("variant", ["mean-mix", "ego-concat"])
+def test_joint_folded_head_equals_unfolded(variant):
+    # gcn-joint and sage-concat; node 0 is isolated, so a head bias added
+    # before P (scaled by alpha there) would show
+    mag = isolated_node_mag()
+    model = JointGcn(np.random.default_rng(0), mag, hidden=6, num_layers=2, alpha=0.4,
+                     dropout=0.0, smoothing=0.1, variant=variant)
+    randomize_params(model, seed=1)
+    norm_adj = mag.adjacency.row_normalize()
+    logits = model.forward(mag, norm_adj, None, training=False, rng=None)["logits"].data
+    x = np.concatenate([mag.features[n] for n in mag.modality_names()], axis=1)
+    h = np.maximum(x @ model.params["proj.w"] + model.params["proj.b"], 0.0)
+    z = model.stack.forward(T.Tensor(h), norm_adj, model.wrap(None), "gnn").data
+    expected = z @ model.params["head.w"] + model.params["head.b"]
+    assert np.max(np.abs(logits - expected)) < 1e-12
+
+
+def test_independent_folded_head_equals_unfolded():
+    mag = isolated_node_mag()
+    model = IndependentAgg(np.random.default_rng(0), mag, hidden=6, num_layers=2,
+                           alpha=0.4, dropout=0.0, smoothing=0.1)
+    randomize_params(model, seed=2)
+    norm_adj = mag.adjacency.row_normalize()
+    logits = model.forward(mag, norm_adj, None, training=False, rng=None)["logits"].data
+    p, outs = model.wrap(None), []
+    for name, _dim in mag.modalities:
+        h = np.maximum(mag.features[name] @ model.params[f"proj_{name}.w"]
+                       + model.params[f"proj_{name}.b"], 0.0)
+        outs.append(model.stacks[name].forward(T.Tensor(h), norm_adj, p, f"gnn_{name}").data)
+    expected = np.concatenate(outs, axis=1) @ model.params["head.w"] + model.params["head.b"]
+    assert np.max(np.abs(logits - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

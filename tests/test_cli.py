@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from magsim.cli import main
-from magsim.graph import load
+from magsim.graph import load, measure_alignment, measure_neighborhood_noise
+from magsim.theory import tau
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -154,6 +155,22 @@ def test_malformed_dataset_is_io_error(tmp_path, config_path, dataset_dir, capsy
     assert name in capsys.readouterr().err
 
 
+def test_non_utf8_edges_exit_3(config_path, dataset_dir, capsys):
+    with open(os.path.join(dataset_dir, "edges.csv"), "wb") as fh:
+        fh.write(b"0,1\n\xff\xfe,2\n")
+    assert main(["train", "--config", config_path, "--data", dataset_dir]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_negative_noise_var_exit_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["synthetic"]["modalities"][0]["noise_var"] = -0.2
+    path = tmp_path / "bad_noise.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gen", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert "noise_var" in capsys.readouterr().err
+
+
 def test_bad_train_key_rejected(tmp_path, dataset_dir):
     doc = json.loads(json.dumps(TINY_CONFIG))
     doc["train"]["learning_rate"] = 0.01
@@ -178,6 +195,21 @@ def test_gen_stdout_reports_calibration(tmp_path, config_path, capsys):
     main(["gen", "--config", config_path, "--out", str(tmp_path / "d2")])
     out = capsys.readouterr().out
     assert "beta_hat=" in out and "tau=" in out and "snr_int=" in out
+
+
+def test_gen_stdout_matches_the_public_estimators(tmp_path, config_path, capsys):
+    out_dir = str(tmp_path / "d3")
+    main(["gen", "--config", config_path, "--out", out_dir])
+    mag = load(out_dir)
+    expected = []
+    for name in mag.features:
+        beta = measure_alignment(mag, name)
+        sigma = measure_neighborhood_noise(mag, name, beta)
+        resid = mag.features[name] - mag.signals[name][mag.labels]
+        snr = float((mag.signals[name][0] ** 2).sum()) / float((resid ** 2).sum(axis=1).mean())
+        expected.append(f"{name}: beta_hat={beta:.4f} sigma_n_sq={sigma:.4f} "
+                        f"snr_int={snr:.3f} tau={tau(0.5, beta, sigma):.4f}")
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_gen_byte_reproducible(tmp_path, config_path):

@@ -3,6 +3,7 @@
 import json
 import os
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import three_node_mag
+from magsim import graph
 from magsim.errors import ContractError, DatasetError, ShapeError
 from magsim.graph import (CsrMatrix, Mag, ModalitySpec, SyntheticSpec,
                           _sorted_unique, corrupt_modality, generate,
@@ -156,6 +158,16 @@ def test_spec_validation():
         SyntheticSpec(10, 2, [ModalitySpec("t", 4)], split_fracs=(0.9, 0.2, 0.2))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("noise_var", -0.1), ("noise_var", float("nan")), ("noise_var", float("inf")),
+    ("signal_norm", float("nan")), ("signal_norm", float("inf")),
+], ids=["negative-noise", "nan-noise", "inf-noise", "nan-signal", "inf-signal"])
+def test_spec_rejects_bad_modality_numbers(field, value):
+    # unchecked, these give NaN features with only a RuntimeWarning
+    with pytest.raises(ContractError, match=field):
+        SyntheticSpec(10, 2, [ModalitySpec("t", 4, **{field: value})])
+
+
 def test_mag_validation():
     mag = three_node_mag()
     with pytest.raises(ShapeError):
@@ -199,6 +211,36 @@ def test_neighborhood_noise_beta_zero_second_moment():
     assert abs(measure_neighborhood_noise(mag, "text", 0.0) - expected) < 1e-12
 
 
+def test_calibration_is_one_product_with_both_estimates(census_mag, monkeypatch):
+    beta = measure_alignment(census_mag, "text")
+    sigma = measure_neighborhood_noise(census_mag, "text", beta)
+    means = []      # each neighborhood mean fetches the normalized adjacency once
+    real = graph.CsrMatrix.row_normalize
+    monkeypatch.setattr(graph.CsrMatrix, "row_normalize",
+                        lambda self: means.append(1) or real(self))
+    assert graph._calibrate(census_mag, "text") == (beta, sigma)    # bit for bit
+    assert len(means) == 1
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_calibration_peak_memory_is_that_of_the_alignment(census_mag):
+    # both estimates from one product must not hold more N x d arrays at
+    # once than measure_alignment does (an out-of-place residual held one
+    # more, +25.6 MB of peak RSS in `magsim gen` at N=200k)
+    census_mag.adjacency.row_normalize()
+    one_array = census_mag.features["text"].nbytes
+    alignment = _peak_bytes(lambda: measure_alignment(census_mag, "text"))
+    assert _peak_bytes(lambda: graph._calibrate(census_mag, "text")) < alignment + one_array / 2
+
+
 def test_measure_errors(tiny_mag):
     with pytest.raises(ContractError):
         measure_neighborhood_noise(tiny_mag, "text", 0.5)   # no stored signals
@@ -238,6 +280,13 @@ def test_inject_noise_deterministic(small_mag):
 def test_inject_noise_negative_scale(small_mag):
     with pytest.raises(ContractError):
         inject_noise(small_mag, -0.1, 0)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+def test_inject_noise_non_finite_scale(small_mag, scale):
+    # unchecked, these give NaN features silently
+    with pytest.raises(ContractError):
+        inject_noise(small_mag, scale, 0)
 
 
 def test_corrupt_modality_decorrelates():
@@ -464,6 +513,14 @@ def test_malformed_edge_line_names_its_number(tmp_path, text, line):
     save(three_node_mag(), str(d))
     (d / "edges.csv").write_text(text)
     with pytest.raises(DatasetError, match=rf"edges\.csv:{line}: expected 'src,dst'"):
+        load(str(d))
+
+
+def test_non_utf8_edges_is_dataset_error(tmp_path):
+    d = tmp_path / "ds"
+    save(three_node_mag(), str(d))
+    (d / "edges.csv").write_bytes(b"0,1\n\xff\xfe,2\n")
+    with pytest.raises(DatasetError, match=r"edges\.csv: not UTF-8"):
         load(str(d))
 
 

@@ -1,9 +1,12 @@
 """Dual-pathway model: pooling, routing variants, objective, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from conftest import three_node_mag
+from conftest import isolated_node_mag, randomize_params, three_node_mag
 from magsim import tensor as T
 from magsim.errors import ContractError, TapeError
 from magsim.graph import ModalitySpec, SyntheticSpec, generate
@@ -20,6 +23,14 @@ def build(mag, seed=0, **cfg_kwargs):
 
 def fwd(model, mag, tape=None, training=False, rng=None):
     return model.forward(mag, mag.adjacency.row_normalize(), tape, training, rng)
+
+
+def unfolded_synergy_logits(model, mag, out):
+    """stack(h_s) @ W_head + b with head_s kept out of the stack: the
+    reference for the folded synergy pathway's ``synergy_logits``."""
+    h_s = T.concat_cols([out["z_unique"][name] for name, _ in model.modalities])
+    z_s = model.stack.forward(h_s, mag.adjacency.row_normalize(), model.wrap(None), "synergy")
+    return z_s.data @ model.params["head_s.w"] + model.params["head_s.b"]
 
 
 def small_two_modality(seed=21):
@@ -64,7 +75,8 @@ def test_forward_pooling_identity():
     model = build(mag)
     out = fwd(model, mag)
     n_heads = len(mag.modalities) + 1
-    head_s = out["z_synergy"].data @ model.params["head_s.w"] + model.params["head_s.b"]
+    head_s = unfolded_synergy_logits(model, mag, out)
+    assert np.max(np.abs(out["synergy_logits"].data - head_s)) < 1e-12
     pooled = head_s.copy()
     for name, _ in mag.modalities:
         pooled += out["aux_logits"][name].data
@@ -76,8 +88,25 @@ def test_synergy_only_logits_are_synergy_head():
     mag = small_two_modality()
     model = build(mag, variant="synergy-only")
     out = fwd(model, mag)
-    head_s = out["z_synergy"].data @ model.params["head_s.w"] + model.params["head_s.b"]
+    head_s = unfolded_synergy_logits(model, mag, out)
     assert np.max(np.abs(out["logits"].data - head_s)) < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["full", "base", "synergy-only"])
+def test_folded_synergy_head_equals_unfolded(variant):
+    # node 0 is isolated, so a head_s bias added before P (scaled by alpha
+    # there) would show
+    mag = isolated_node_mag()
+    model = build(mag, variant=variant, lambda_aux=0.7)
+    randomize_params(model, seed=3)
+    out = fwd(model, mag)
+    head_s = unfolded_synergy_logits(model, mag, out)
+    assert np.max(np.abs(out["synergy_logits"].data - head_s)) < 1e-12
+    if variant == "synergy-only":
+        expected = head_s
+    else:
+        expected = (head_s + sum(out["aux_logits"][n].data for n, _ in mag.modalities)) / 3
+    assert np.max(np.abs(out["logits"].data - expected)) < 1e-12
 
 
 def test_modality_permutation_symmetry():
@@ -282,10 +311,69 @@ def test_checkpoint_unexpected_param(tmp_path):
         load_checkpoint(other, path)
 
 
+def _saved(tmp_path, model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    return path
+
+
+def test_checkpoint_into_deeper_model_rejected(tmp_path):
+    # a lenient loader leaves a 3-layer model's synergy.w2 at its random init
+    mag = small_two_modality()
+    path = _saved(tmp_path, build(mag, num_layers=2))
+    with pytest.raises(ContractError, match="synergy.w2"):
+        load_checkpoint(build(mag, num_layers=3), str(path))
+
+
+def test_checkpoint_broadcastable_shape_rejected(tmp_path):
+    # a lenient loader broadcasts a 1x6 row into the 6x6 weight
+    mag = small_two_modality()
+    small = build(mag, proj_dim=6)
+    small.params["synergy.w1"] = small.params["synergy.w1"][:1].copy()
+    path = _saved(tmp_path, small)
+    target = build(mag, proj_dim=6, seed=4)
+    before = {k: v.copy() for k, v in target.params.items()}
+    with pytest.raises(ContractError, match="synergy.w1"):
+        load_checkpoint(target, str(path))
+    assert all(np.array_equal(before[k], target.params[k]) for k in before)
+
+
+@pytest.mark.parametrize("cut", [6, 20, -8, -1], ids=["header", "manifest", "blob", "byte"])
+def test_checkpoint_truncated_rejected(tmp_path, cut):
+    mag = small_two_modality()
+    path = _saved(tmp_path, build(mag))
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ContractError):
+        load_checkpoint(build(mag), str(path))
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    mag = small_two_modality()
+    path = _saved(tmp_path, build(mag))
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ContractError, match="bytes"):
+        load_checkpoint(build(mag), str(path))
+
+
+def test_checkpoint_bytes_are_the_documented_format(tmp_path):
+    # magic, manifest length, JSON manifest of sorted (name, shape), then the
+    # little-endian f64 values in the same order
+    mag = small_two_modality()
+    model = build(mag, seed=3)
+    names = sorted(model.params)
+    manifest = json.dumps({"params": [[n, list(model.params[n].shape)] for n in names]})
+    expected = (b"MAGS" + struct.pack("<I", len(manifest)) + manifest.encode()
+                + b"".join(model.params[n].astype("<f8").tobytes() for n in names))
+    assert _saved(tmp_path, model).read_bytes() == expected
+
+
 def test_forward_on_hand_built_graph_shapes():
     mag = three_node_mag()
     model = build(mag, proj_dim=4)
+    model.params["head_s.b"][...] = [[0.5, -1.0]]   # node 2 is isolated
     out = fwd(model, mag)
     assert out["logits"].data.shape == (3, 2)
     assert out["z_unique"]["text"].data.shape == (3, 4)
-    assert out["z_synergy"].data.shape == (3, 4)
+    assert out["synergy_logits"].data.shape == (3, 2)
+    assert np.max(np.abs(out["synergy_logits"].data
+                         - unfolded_synergy_logits(model, mag, out))) < 1e-12
