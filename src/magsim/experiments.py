@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -57,10 +59,22 @@ class TrainConfig:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ContractError(f"unknown model kind {self.kind!r}")
-        if self.patience < 1:
-            raise ContractError(f"patience must be >= 1, got {self.patience}")
-        if self.lr < 0:
-            raise ContractError(f"lr must be >= 0, got {self.lr}")
+        v = vars(self)
+        for name in ("patience", "hidden", "num_layers", "max_epochs"):
+            if isinstance(v[name], bool) or not isinstance(v[name], numbers.Integral) \
+                    or v[name] < 1:
+                raise ContractError(f"{name} must be an integer >= 1, got {v[name]!r}")
+        for name in ("lr", "weight_decay", "lambda_aux"):
+            if not math.isfinite(v[name]):
+                raise ContractError(f"{name} must be finite, got {v[name]}")
+        for name in ("lr", "lambda_aux"):
+            if v[name] < 0:
+                raise ContractError(f"{name} must be >= 0, got {v[name]}")
+        for name in ("dropout", "smoothing"):
+            if not 0.0 <= v[name] < 1.0:
+                raise ContractError(f"{name} must be in [0,1), got {v[name]}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ContractError(f"alpha must be in (0,1), got {self.alpha}")
 
 
 @dataclass
@@ -162,21 +176,19 @@ def train(mag: Mag, cfg: TrainConfig, return_model: bool = False):
         tape = T.Tape()
         out = model.forward(mag, norm_adj, tape, training=True, rng=rng_drop)
         losses = model.loss(out, mag.labels, train_idx)
-        total, task = losses["total"], losses["task"]
-        aux_val = sum(a.data[0, 0] for a in losses["aux"].values())
-        loss_val = float(total.data[0, 0])
-        if not np.isfinite(loss_val):
+        row = {"epoch": epoch, "loss_total": float(losses["total"].data[0, 0]),
+               "loss_task": float(losses["task"].data[0, 0]),
+               "loss_aux": float(sum(a.data[0, 0] for a in losses["aux"].values()))}
+        if not np.isfinite(row["loss_total"]):
             raise NumericError(f"non-finite loss at epoch {epoch}")
-        tape.backward(total)
+        tape.backward(losses["total"])
+        del out, losses   # the eval forward below must not run on top of them
         branch_norms = model.branch_grad_norms()
         T.adam_step(model.params, model.grads(), state, cfg.lr, cfg.weight_decay)
 
         val_acc = accuracy(predict(model, mag, norm_adj, mag.splits["val"]),
                            mag.labels[mag.splits["val"]])
-        epochs.append({"epoch": epoch, "loss_total": loss_val,
-                       "loss_task": float(task.data[0, 0]),
-                       "loss_aux": float(aux_val), "val_acc": val_acc,
-                       "grad_norms": branch_norms})
+        epochs.append({**row, "val_acc": val_acc, "grad_norms": branch_norms})
         if val_acc > best_val:
             best_val, best_epoch = val_acc, epoch
             best_state = model.state_copy()

@@ -72,7 +72,7 @@ class Model:
 
 
 def _linear(p, prefix, x):
-    return T.add(T.matmul(x, p[f"{prefix}.w"]), p[f"{prefix}.b"])
+    return T.linear(x, p[f"{prefix}.w"], p[f"{prefix}.b"])
 
 
 def _concat_features(mag: Mag, names) -> T.Tensor:

@@ -8,6 +8,9 @@ in execution order and replays them in reverse for backprop.
 
 from __future__ import annotations
 
+import itertools
+import weakref
+
 import numpy as np
 
 from .errors import ContractError, ShapeError, TapeError
@@ -19,17 +22,33 @@ class Tape:
     Recording order equals the reverse order of gradient replay.  A tape
     can be backpropagated through once; re-running backward without
     re-recording is an error.
+
+    The tape never holds a Tensor.  Each node stores its output's key and,
+    per taped parent, the parent's key and a vjp closure over exactly the
+    arrays that vjp reads, so an activation the forward drops is freed at
+    once.  Backward pops each node as it runs it and each gradient as it
+    is consumed; only leaves (tensors built as ``Tensor(data, tape)``)
+    receive ``.grad``, and op outputs keep ``grad is None``.
     """
 
     def __init__(self):
-        self._nodes = []  # backward closures, execution order
+        self._nodes = []  # (out_key, ((parent_key, vjp), ...)), execution order
+        self._leaves = {}  # key -> weakref to a leaf Tensor
+        self._keys = itertools.count()
         self._consumed = False
 
     def __len__(self):
         return len(self._nodes)
 
-    def _record(self, backward_fn):
-        self._nodes.append(backward_fn)
+    def _leaf(self, tensor) -> int:
+        key = next(self._keys)
+        self._leaves[key] = weakref.ref(tensor)
+        return key
+
+    def _record(self, edges) -> int:
+        key = next(self._keys)
+        self._nodes.append((key, edges))
+        return key
 
     def backward(self, loss: "Tensor"):
         if self._consumed:
@@ -39,18 +58,33 @@ class Tape:
         if loss.data.shape != (1, 1):
             raise ShapeError(f"backward needs a 1x1 scalar, got {loss.data.shape}")
         self._consumed = True
-        loss.grad = np.ones((1, 1))
-        for fn in reversed(self._nodes):
-            fn()
-        # break closure->tensor->tape reference cycles so intermediate
-        # arrays are freed by refcount, not the cyclic collector
-        self._nodes.clear()
+        grads = {loss.key: np.ones((1, 1))}
+        nodes = self._nodes
+        while nodes:
+            key, edges = nodes.pop()
+            g = grads.pop(key, None)
+            if g is None:
+                continue
+            for parent, vjp in edges:
+                # the first contribution is stored as is; none is written in
+                # place, since it may share its array with ``g``
+                prev = grads.get(parent)
+                grads[parent] = vjp(g) if prev is None else prev + vjp(g)
+        for key, ref in self._leaves.items():
+            leaf = ref()
+            if leaf is not None and key in grads:
+                leaf.grad = grads[key]
+        self._leaves.clear()
 
 
 class Tensor:
-    """A rows x cols float64 matrix, optionally attached to a Tape."""
+    """A rows x cols float64 matrix, optionally attached to a Tape.
 
-    __slots__ = ("data", "tape", "grad")
+    ``Tensor(data, tape)`` makes a leaf: after ``tape.backward`` its
+    ``grad`` holds d loss / d data (None if the loss does not depend on
+    it).  Op outputs are never leaves and never receive ``grad``."""
+
+    __slots__ = ("data", "tape", "grad", "key", "__weakref__")
 
     def __init__(self, data, tape: Tape | None = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -59,6 +93,7 @@ class Tensor:
         self.data = arr
         self.tape = tape
         self.grad = None
+        self.key = None if tape is None else tape._leaf(self)
 
     @property
     def rows(self):
@@ -67,12 +102,6 @@ class Tensor:
     @property
     def cols(self):
         return self.data.shape[1]
-
-    def _bump(self, g):
-        """Accumulate one gradient contribution.  The first is stored as is
-        (0.0 + g == g); no stored gradient is ever written in place, so it
-        may share its array with the output gradient it came from."""
-        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor({self.rows}x{self.cols}, taped={self.tape is not None})"
@@ -92,28 +121,36 @@ def _op(data, parents, vjps) -> Tensor:
 
     ``vjps[i]`` maps the output gradient to the gradient contribution of
     ``parents[i]``.  It runs during backward, only for parents on the tape
-    and only once the output has received gradient.
+    and only once the output has received gradient.  A vjp closes over the
+    arrays it reads, never over a Tensor, and the vjps of untaped parents
+    are dropped here.
     """
     tape = _out_tape(*parents)
-    out = Tensor(data, tape)
+    out = Tensor(data)
     if tape is not None:
-        taped = [(p, vjp) for p, vjp in zip(parents, vjps) if p.tape is tape]
-
-        def backward():
-            g = out.grad
-            if g is not None:
-                for p, vjp in taped:
-                    p._bump(vjp(g))
-
-        tape._record(backward)
+        out.tape = tape
+        out.key = tape._record(tuple((p.key, vjp) for p, vjp in zip(parents, vjps)
+                                     if p.tape is tape))
     return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul: {a.data.shape} x {b.data.shape}")
-    return _op(a.data @ b.data, (a, b),
-               (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+    ad, bd = a.data, b.data
+    return _op(ad @ bd, (a, b), (lambda g: g @ bd.T, lambda g: ad.T @ g))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b with ``b`` a 1 x cols bias row: one product, the bias added
+    in place, one tape node."""
+    if x.cols != w.rows or b.data.shape != (1, w.cols):
+        raise ShapeError(f"linear: {x.data.shape} x {w.data.shape} + {b.data.shape}")
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+    return _op(out, (x, w, b), (lambda g: g @ wd.T, lambda g: xd.T @ g,
+                                lambda g: g.sum(axis=0, keepdims=True)))
 
 
 def spmm(adj, h: Tensor) -> Tensor:
@@ -134,7 +171,8 @@ def spmm(adj, h: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    return _op(np.maximum(x.data, 0.0), (x,), (lambda g: g * (x.data > 0.0),))
+    mask = x.data > 0.0
+    return _op(np.maximum(x.data, 0.0), (x,), (lambda g: g * mask,))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -155,8 +193,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product of same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: {a.data.shape} * {b.data.shape}")
-    return _op(a.data * b.data, (a, b),
-               (lambda g: g * b.data, lambda g: g * a.data))
+    ad, bd = a.data, b.data
+    return _op(ad * bd, (a, b), (lambda g: g * bd, lambda g: g * ad))
 
 
 def concat_cols(tensors) -> Tensor:
@@ -176,9 +214,10 @@ def row_select(x: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
         raise ShapeError(f"row_select: index out of range for {x.rows} rows")
+    shape = x.data.shape
 
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape)
         np.add.at(full, idx, g)
         return full
 
@@ -193,13 +232,14 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     if not training or rate == 0.0:
         return x
     keep = 1.0 - rate
-    mask = (rng.random(x.data.shape) < keep) / keep
-    return _op(x.data * mask, (x,), (lambda g: g * mask,))
+    kept = rng.random(x.data.shape) < keep   # bool; backward rebuilds kept / keep
+    return _op(x.data * (kept / keep), (x,), (lambda g: g * (kept / keep),))
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Reduce to a 1x1 scalar tensor."""
-    return _op([[x.data.sum()]], (x,), (lambda g: np.full_like(x.data, g[0, 0]),))
+    shape = x.data.shape
+    return _op([[x.data.sum()]], (x,), (lambda g: np.full(shape, g[0, 0]),))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

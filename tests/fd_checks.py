@@ -140,6 +140,18 @@ def _case_add_bias(rng):
     return {"a": a, "b": b}, run
 
 
+def _case_linear(rng):
+    x = rng.standard_normal((5, 3))
+    w = rng.standard_normal((3, 4))
+    b = rng.standard_normal((1, 4))
+    c = rng.standard_normal((5, 4))
+
+    def run(p, tape):
+        return T.sum_all(T.mul(T.linear(p["x"], p["w"], p["b"]), T.Tensor(c, None)))
+
+    return {"x": x, "w": w, "b": b}, run
+
+
 def _case_scale(rng):
     x = rng.standard_normal((4, 3))
     k = float(rng.uniform(-2, 2))
@@ -242,6 +254,7 @@ ALL_CASES = {
     "relu": _case_relu,
     "add": _case_add,
     "add-bias": _case_add_bias,
+    "linear": _case_linear,
     "scale": _case_scale,
     "mul": _case_mul,
     "concat_cols": _case_concat,

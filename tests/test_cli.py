@@ -171,6 +171,15 @@ def test_negative_noise_var_exit_2(tmp_path, capsys):
     assert "noise_var" in capsys.readouterr().err
 
 
+def test_nan_lr_exit_2(tmp_path, dataset_dir, capsys):
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["train"]["lr"] = float("nan")          # json writes and reads NaN
+    path = tmp_path / "nan_lr.json"
+    path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(path), "--data", dataset_dir]) == 2
+    assert "lr must be finite" in capsys.readouterr().err
+
+
 def test_bad_train_key_rejected(tmp_path, dataset_dir):
     doc = json.loads(json.dumps(TINY_CONFIG))
     doc["train"]["learning_rate"] = 0.01

@@ -51,6 +51,28 @@ def test_config_rejects_bad_patience_and_lr():
         TrainConfig(lr=-1e-3)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", float("inf")),
+    ("weight_decay", float("nan")), ("weight_decay", float("-inf")),
+    ("lambda_aux", float("nan")), ("lambda_aux", float("inf")), ("lambda_aux", -0.5),
+    ("dropout", -0.1), ("dropout", 1.0), ("dropout", 1.5), ("dropout", float("nan")),
+    ("smoothing", -0.1), ("smoothing", 1.0),
+    ("hidden", 0), ("num_layers", 0), ("max_epochs", 0), ("max_epochs", -3),
+    ("hidden", 2.5), ("num_layers", True),
+    ("alpha", 0.0), ("alpha", 1.0), ("alpha", -0.5), ("alpha", float("nan")),
+])
+def test_config_rejects_bad_value(field, value):
+    with pytest.raises(ContractError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_config_accepts_boundary_values():
+    cfg = TrainConfig(dropout=0.0, smoothing=0.0, hidden=1, num_layers=1, max_epochs=1,
+                      alpha=1e-9, lr=0.0, weight_decay=0.0, lambda_aux=0.0,
+                      patience=np.int64(3))
+    assert cfg.max_epochs == 1
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------

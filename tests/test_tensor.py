@@ -1,6 +1,8 @@
 """Autodiff engine: op semantics, gradient correctness, tape rules, Adam."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 import fd_checks
 from magsim import tensor as T
 from magsim.errors import ContractError, ShapeError, TapeError
-from magsim.graph import CsrMatrix
+from magsim.experiments import TrainConfig, build_model
+from magsim.graph import CsrMatrix, ModalitySpec, SyntheticSpec, generate
 
 
 def mutual_pair_adj():
@@ -242,6 +245,98 @@ def test_gradient_determinism():
     la, xa, wa = run()
     lb, xb, wb = run()
     assert np.array_equal(la, lb) and np.array_equal(xa, xb) and np.array_equal(wa, wb)
+
+
+def test_linear_equals_matmul_plus_bias_bit_for_bit():
+    rng = np.random.default_rng(3)
+    x, w, b = rng.standard_normal((7, 5)), rng.standard_normal((5, 3)), rng.standard_normal((1, 3))
+    c = rng.standard_normal((7, 3))
+
+    def run(fused):
+        tape = T.Tape()
+        leaves = [T.Tensor(v, tape) for v in (x, w, b)]
+        out = T.linear(*leaves) if fused else T.add(T.matmul(*leaves[:2]), leaves[2])
+        nodes = len(tape)
+        tape.backward(T.sum_all(T.mul(out, T.Tensor(c))))
+        return out.data, [t.grad for t in leaves], nodes
+
+    fused, unfused = run(True), run(False)
+    assert np.array_equal(fused[0], unfused[0])
+    assert all(np.array_equal(f, u) for f, u in zip(fused[1], unfused[1]))
+    assert (fused[2], unfused[2]) == (1, 2)
+
+
+def test_linear_shape_errors():
+    x, w = T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 4)))
+    with pytest.raises(ShapeError):
+        T.linear(x, w, T.Tensor(np.ones((2, 4))))     # a bias is one row
+    with pytest.raises(ShapeError):
+        T.linear(x, T.Tensor(np.ones((2, 4))), T.Tensor(np.ones((1, 4))))
+
+
+# ---------------------------------------------------------------------------
+# memory: only leaves keep gradients, each op saves only what its vjp reads
+# ---------------------------------------------------------------------------
+
+def test_backward_gives_grad_to_leaves_only_and_empties_the_tape():
+    rng = np.random.default_rng(0)
+    tape = T.Tape()
+    x = T.Tensor(rng.standard_normal((6, 3)))
+    w, b = T.Tensor(rng.standard_normal((3, 4)), tape), T.Tensor(np.zeros((1, 4)), tape)
+    w2 = T.Tensor(rng.standard_normal((4, 2)), tape)
+    pre = T.linear(x, w, b)
+    h = T.dropout(T.relu(pre), 0.5, rng, training=True)
+    logits = T.matmul(h, w2)
+    loss = T.cross_entropy_smoothed(T.row_select(logits, [0, 2, 5]), np.array([0, 1, 1]), 0.1)
+    assert len(tape) == 6
+    tape.backward(loss)
+    assert len(tape) == 0
+    assert all(t.grad is None for t in (pre, h, logits, loss, x))
+    assert all(t.grad is not None and t.grad.shape == t.data.shape for t in (w, b, w2))
+
+
+def test_forward_drops_the_pre_activation_while_the_tape_lives():
+    rng = np.random.default_rng(1)
+    tape = T.Tape()
+    x = T.Tensor(rng.standard_normal((50, 8)))
+    w, b = T.Tensor(rng.standard_normal((8, 16)), tape), T.Tensor(np.ones((1, 16)), tape)
+    pre = T.linear(x, w, b)
+    ref = weakref.ref(pre.data)
+    h = T.relu(pre)
+    del pre
+    assert ref() is None and len(tape) == 2
+    tape.backward(T.sum_all(h))
+    assert np.array_equal(b.grad, (h.data > 0).sum(axis=0, keepdims=True).astype(float))
+
+
+def test_supra_training_step_peak_memory():
+    """forward + loss + backward of supra at N=2k, counted in N x hidden
+    float64 arrays; a tape that holds every activation and every
+    intermediate gradient until backward ends peaks at 27.7 here."""
+    n, hidden = 2000, 64
+    mag = generate(SyntheticSpec(n, 4, [ModalitySpec("text", 16, 1.0, 0.2),
+                                        ModalitySpec("visual", 16, 1.0, 0.8)],
+                                 homophily=0.8, mean_degree=10, seed=3))
+    cfg = TrainConfig(kind="supra", lambda_aux=0.7, hidden=hidden, num_layers=2)
+    model = build_model(cfg, mag, np.random.default_rng(0))
+    adj = mag.adjacency.row_normalize()
+
+    def step(rng):
+        tape = T.Tape()
+        out = model.forward(mag, adj, tape, training=True, rng=rng)
+        tape.backward(model.loss(out, mag.labels, mag.splits["train"])["total"])
+        return out
+
+    step(np.random.default_rng(1))          # fills the adjacency's operator caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step(np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    units = peak / (n * hidden * 8)
+    assert units <= 12.0, f"peak {units:.1f} N x hidden arrays"
 
 
 # ---------------------------------------------------------------------------
