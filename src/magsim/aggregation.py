@@ -1,4 +1,4 @@
-"""Mean-aggregation layers and stack, plus the structural ego-Jacobian.
+"""Mean aggregation, the GNN stack built on it, and the structural ego-Jacobian.
 
 The backbone operator mixes a node's own representation (weight alpha)
 with the average of its neighbors (weight 1-alpha).  An ego-concat
@@ -16,7 +16,8 @@ from .graph import CsrMatrix
 
 
 def mean_aggregate(h: T.Tensor, adj: CsrMatrix, alpha: float) -> T.Tensor:
-    """alpha * h + (1-alpha) * neighbor mean; differentiable in h.
+    """alpha * h + (1-alpha) * neighbor mean; differentiable in h.  At
+    alpha = 0 it is the plain neighbor mean, a zero row at isolated nodes.
 
     One product with the adjacency's cached operator P = alpha*I +
     (1-alpha)*A_hat, recorded as one tape node whose backward is P^T @ g."""
@@ -29,65 +30,34 @@ def mean_aggregate(h: T.Tensor, adj: CsrMatrix, alpha: float) -> T.Tensor:
     return T._op(p @ h.data, (h,), (lambda g: p_t @ g,))
 
 
-class MeanAggLayer:
-    """One aggregation step, optionally followed by a linear transform.
-
-    alpha must lie strictly inside (0,1); the boundary cases make the
-    operator either a no-op or pure smoothing and are excluded from the
-    analysis this layer is built to test.
-    """
-
-    def __init__(self, alpha: float, in_dim=None, out_dim=None, variant="mean-mix"):
-        if not 0.0 < alpha < 1.0:
-            raise ContractError(f"alpha must be in (0,1), got {alpha}")
-        if variant not in ("mean-mix", "ego-concat"):
-            raise ContractError(f"unknown variant {variant!r}")
-        self.alpha = alpha
-        self.variant = variant
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.has_weight = in_dim is not None and out_dim is not None
-
-    def weight_shape(self):
-        if not self.has_weight:
-            return None
-        width = 2 * self.in_dim if self.variant == "ego-concat" else self.in_dim
-        return (width, self.out_dim)
-
-    def forward(self, h: T.Tensor, adj: CsrMatrix, weight: T.Tensor | None = None) -> T.Tensor:
-        if self.has_weight and weight is None:
-            raise ContractError("layer has a weight but none was supplied")
-        if self.variant == "ego-concat":
-            mixed = T.concat_cols([h, T.spmm(adj, h)])
-            return T.matmul(mixed, weight) if self.has_weight else mixed
-        # transform before propagate: P(HW) equals (PH)W, and the sparse
-        # product runs at the output width, never wider than the input here
-        return mean_aggregate(T.matmul(h, weight) if self.has_weight else h,
-                              adj, self.alpha)
-
-
 class GnnStack:
     """L aggregation layers with ReLU between them (none after the last),
-    optionally with a linear head folded into the last layer."""
+    optionally with a linear head folded into the last layer.  A mean-mix
+    layer computes P(HW), an ego-concat layer [H, A_hat H] W; without
+    ``hidden_dim`` the layers carry no weight.  alpha lies strictly inside
+    (0,1): the analysis this stack is built to test excludes the boundaries,
+    where P is a no-op or pure smoothing."""
 
     def __init__(self, num_layers: int, alpha: float, hidden_dim=None,
                  in_dim=None, variant="mean-mix"):
         if num_layers < 1:
             raise ContractError(f"stack needs at least one layer, got {num_layers}")
+        if not 0.0 < alpha < 1.0:
+            raise ContractError(f"alpha must be in (0,1), got {alpha}")
+        if variant not in ("mean-mix", "ego-concat"):
+            raise ContractError(f"unknown variant {variant!r}")
         self.num_layers = num_layers
         self.alpha = alpha
         self.variant = variant
-        self.layers = []
-        for i in range(num_layers):
-            if hidden_dim is None:
-                self.layers.append(MeanAggLayer(alpha, variant=variant))
-            else:
-                d_in = in_dim if (i == 0 and in_dim is not None) else hidden_dim
-                self.layers.append(MeanAggLayer(alpha, d_in, hidden_dim, variant))
+        self.weight_shapes = []          # one (rows, cols) per layer, or none at all
+        if hidden_dim is not None:
+            width = 2 if variant == "ego-concat" else 1
+            d_in = in_dim if in_dim is not None else hidden_dim
+            self.weight_shapes = [(width * (d_in if i == 0 else hidden_dim), hidden_dim)
+                                  for i in range(num_layers)]
 
     def param_shapes(self, prefix: str) -> dict:
-        return {f"{prefix}.w{i}": layer.weight_shape()
-                for i, layer in enumerate(self.layers) if layer.has_weight}
+        return {f"{prefix}.w{i}": shape for i, shape in enumerate(self.weight_shapes)}
 
     def forward(self, h: T.Tensor, adj: CsrMatrix, params: dict, prefix: str,
                 activation: bool = True, head: T.Tensor | None = None) -> T.Tensor:
@@ -96,14 +66,24 @@ class GnnStack:
         and its sparse product and backward run at width C.  The head's bias
         is the caller's to add after P, whose rows sum to alpha at isolated
         nodes."""
-        for i, layer in enumerate(self.layers):
-            w = params.get(f"{prefix}.w{i}")
-            if head is not None and i + 1 == self.num_layers:
+        for i in range(self.num_layers):
+            w = params.get(f"{prefix}.w{i}") if self.weight_shapes else None
+            if self.weight_shapes and w is None:
+                raise ContractError(f"layer {i} has a weight but none was supplied")
+            last = i + 1 == self.num_layers
+            if head is not None and last:
                 if w is None:
                     raise ContractError("a folded head needs a weighted last layer")
                 w = T.matmul(w, head)
-            h = layer.forward(h, adj, w)
-            if activation and i + 1 < self.num_layers:
+            if self.variant == "ego-concat":
+                h = T.concat_cols([h, mean_aggregate(h, adj, 0.0)])
+                if w is not None:
+                    h = T.matmul(h, w)
+            else:
+                # transform before propagate: P(HW) equals (PH)W, and the sparse
+                # product runs at the output width, never wider than the input here
+                h = mean_aggregate(h if w is None else T.matmul(h, w), adj, self.alpha)
+            if activation and not last:
                 h = T.relu(h)
         return h
 

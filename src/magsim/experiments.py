@@ -23,7 +23,7 @@ from . import tensor as T
 from .errors import ContractError, MagsimError
 from .graph import Mag, _calibrate, corrupt_modality, inject_noise
 from .models import IndependentAgg, JointGcn, MlpModel
-from .supra import SupraConfig, SupraModel
+from .supra import VARIANTS, SupraModel
 from .theory import tau
 
 MODEL_KINDS = ("text-mlp", "visual-mlp", "ef-mlp", "gcn-joint", "sage-concat",
@@ -75,6 +75,8 @@ class TrainConfig:
                 raise ContractError(f"{name} must be in [0,1), got {v[name]}")
         if not 0.0 < self.alpha < 1.0:
             raise ContractError(f"alpha must be in (0,1), got {self.alpha}")
+        if self.supra_variant not in VARIANTS:
+            raise ContractError(f"unknown supra_variant {self.supra_variant!r}")
 
 
 @dataclass
@@ -115,11 +117,8 @@ def build_model(cfg: TrainConfig, mag: Mag, rng):
         return IndependentAgg(rng, mag, cfg.hidden, cfg.num_layers, cfg.alpha,
                               cfg.dropout, s)
     if kind == "supra":
-        scfg = SupraConfig(proj_dim=cfg.hidden, num_layers=cfg.num_layers,
-                           alpha=cfg.alpha, lambda_aux=cfg.lambda_aux,
-                           dropout=cfg.dropout, smoothing=cfg.smoothing,
-                           variant=cfg.supra_variant)
-        return SupraModel(rng, mag, scfg)
+        return SupraModel(rng, mag, cfg.hidden, cfg.num_layers, cfg.alpha, cfg.dropout,
+                          s, cfg.lambda_aux, cfg.supra_variant)
     raise ContractError(f"unknown model kind {kind!r}")
 
 

@@ -51,7 +51,7 @@ class CsrMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         self.normalized = bool(normalized)
-        self._sp = self._sp_t = self._norm = None
+        self._sp = self._norm = None
         self._mix = {}               # alpha -> (P, P^T), see mix_operator
         self._validate()
 
@@ -118,12 +118,6 @@ class CsrMatrix:
                                      shape=(self.num_rows, self.num_cols))
         return self._sp
 
-    def scipy_t(self) -> sp.csr_matrix:
-        """Cached CSR transpose, the backward operator of ``A @ h``."""
-        if self._sp_t is None:
-            self._sp_t = self.scipy().T.tocsr()
-        return self._sp_t
-
     def mix_operator(self, alpha: float):
         """Cached CSR pair (P, P^T) with P = alpha*I + (1-alpha)*A: one
         mean-mix aggregation step is the single product P @ h."""
@@ -179,6 +173,8 @@ class Mag:
         for k in ("train", "val", "test"):
             if len(self.splits[k]) == 0:
                 raise ShapeError(f"empty {k} split")
+        if len(set(self.modality_names())) != len(self.modalities):
+            raise ShapeError(f"repeated modality name in {self.modality_names()}")
         for name, dim in self.modalities:
             f = self.features[name]
             if f.shape != (n, dim):
@@ -451,6 +447,8 @@ def _read_edges(path: str) -> np.ndarray:
                 pairs.append((int(a), int(b)))
             except ValueError:
                 raise DatasetError(f"{path}:{ln}: expected 'src,dst', got {line.strip()!r}")
+            if not all(-2 ** 63 <= v < 2 ** 63 for v in pairs[-1]):
+                raise DatasetError(f"{path}:{ln}: node index outside int64: {line.strip()!r}")
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
@@ -461,17 +459,19 @@ def load(directory: str) -> Mag:
             meta = json.load(fh)
     except FileNotFoundError:
         raise DatasetError(f"missing {meta_path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:               # not JSON, or not UTF-8
         raise DatasetError(f"malformed {meta_path}: {exc}")
     try:
         n, c = (int(_ints(meta[k], 0)) for k in ("num_nodes", "num_classes"))
         modalities = [(m["name"], int(_ints(m["dim"], 0))) for m in meta["modalities"]]
         labels = _ints(meta["labels"], 1)
         splits = {k: _ints(meta["splits"][k], 1) for k in ("train", "val", "test")}
-        if n < 0 or not all(isinstance(name, str) for name, _ in modalities):
-            raise ValueError("negative num_nodes or a non-string modality name")
+        if not all(isinstance(name, str) for name, _ in modalities):
+            raise ValueError("a non-string modality name")
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{meta_path}: bad or missing field ({type(exc).__name__}: {exc})")
+    if labels.size != n:        # before num_nodes sizes any array
+        raise DatasetError(f"{meta_path}: num_nodes is {n} but there are {labels.size} labels")
 
     edges_path = os.path.join(directory, "edges.csv")
     pairs = _read_edges(edges_path)
@@ -487,8 +487,8 @@ def load(directory: str) -> Mag:
         path = os.path.join(directory, f"feat_{name}.f32")
         try:
             raw = np.fromfile(path, dtype="<f4")
-        except FileNotFoundError:
-            raise DatasetError(f"missing {path}")
+        except (OSError, ValueError) as exc:     # missing, or a name no file can have
+            raise DatasetError(f"cannot read {path!r}: {exc}")
         if raw.size != n * dim:
             raise DatasetError(f"{path}: expected {n * dim} floats, found {raw.size}")
         features[name] = raw.astype(np.float64).reshape(n, dim)

@@ -56,6 +56,8 @@ class Model:
         return {"all": list(self.params)}
 
     def branch_grad_norms(self) -> dict:
+        if self._taped is None or all(t.grad is None for t in self._taped.values()):
+            raise TapeError("branch_grad_norms called before backward")
         return {b: self.grad_norm(names) for b, names in self.branches().items()}
 
     def param_count(self) -> int:

@@ -13,7 +13,7 @@ import weakref
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, TapeError
+from .errors import ShapeError, TapeError
 
 
 class Tape:
@@ -153,23 +153,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                                 lambda g: g.sum(axis=0, keepdims=True)))
 
 
-def spmm(adj, h: Tensor) -> Tensor:
-    """Row-normalized sparse adjacency times dense: each output row is the
-    mean over in-neighbors of ``h``; isolated nodes yield a zero row."""
-    from .graph import CsrMatrix  # local import to avoid a cycle
-
-    if not isinstance(adj, CsrMatrix):
-        raise TypeError("spmm expects a CsrMatrix adjacency")
-    if not adj.normalized:
-        raise ContractError(
-            f"spmm requires a row-normalized adjacency "
-            f"({adj.num_rows}x{adj.num_cols}, normalized=False)"
-        )
-    if adj.num_cols != h.rows:
-        raise ShapeError(f"spmm: adjacency {adj.num_rows}x{adj.num_cols} vs h {h.data.shape}")
-    return _op(adj.scipy() @ h.data, (h,), (lambda g: adj.scipy_t() @ g,))
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
     return _op(np.maximum(x.data, 0.0), (x,), (lambda g: g * mask,))
@@ -240,13 +223,6 @@ def sum_all(x: Tensor) -> Tensor:
     """Reduce to a 1x1 scalar tensor."""
     shape = x.data.shape
     return _op([[x.data.sum()]], (x,), (lambda g: np.full(shape, g[0, 0]),))
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Numerically stabilized row softmax (max subtraction)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_entropy_smoothed(logits: Tensor, labels, smoothing: float) -> Tensor:

@@ -9,7 +9,7 @@ against central finite differences of the recomputed scalar.
 import numpy as np
 
 from magsim import tensor as T
-from magsim.aggregation import GnnStack, MeanAggLayer, mean_aggregate
+from magsim.aggregation import GnnStack, mean_aggregate
 from magsim.graph import CsrMatrix
 
 
@@ -45,13 +45,14 @@ def _case_matmul(rng):
     return {"a": a, "b": b}, run
 
 
-def _case_spmm(rng):
+def _case_neighbor_mean(rng):
+    # alpha = 0: the plain neighbor mean of an ego-concat layer
     adj = _random_adj(rng, 6)
     h = rng.standard_normal((6, 3))
     c = rng.standard_normal((6, 3))
 
     def run(p, tape):
-        return T.sum_all(T.mul(T.spmm(adj, p["h"]), T.Tensor(c, None)))
+        return T.sum_all(T.mul(mean_aggregate(p["h"], adj, 0.0), T.Tensor(c, None)))
 
     return {"h": h}, run
 
@@ -68,26 +69,28 @@ def _case_mean_aggregate(rng):
     return {"h": h}, run
 
 
-def _layer_case(rng, layer):
-    """One weighted aggregation layer, gradients in both h and the weight."""
+def _layer_case(rng, alpha, in_dim, out_dim, variant="mean-mix"):
+    """A one-layer weighted stack, gradients in both h and the weight."""
     adj = _random_adj(rng, 6)
-    h = rng.standard_normal((6, layer.in_dim))
-    w = rng.standard_normal(layer.weight_shape())
-    c = rng.standard_normal((6, layer.out_dim))
+    stack = GnnStack(1, alpha, hidden_dim=out_dim, in_dim=in_dim, variant=variant)
+    h = rng.standard_normal((6, in_dim))
+    w = rng.standard_normal(stack.weight_shapes[0])
+    c = rng.standard_normal((6, out_dim))
 
     def run(p, tape):
-        return T.sum_all(T.mul(layer.forward(p["h"], adj, p["w"]), T.Tensor(c, None)))
+        out = stack.forward(p["h"], adj, {"g.w0": p["w"]}, "g")
+        return T.sum_all(T.mul(out, T.Tensor(c, None)))
 
     return {"h": h, "w": w}, run
 
 
 def _case_narrowing_layer(rng):
     # out_dim < in_dim: the layer propagates after the weight, P(HW)
-    return _layer_case(rng, MeanAggLayer(float(rng.uniform(0.1, 0.9)), 5, 2))
+    return _layer_case(rng, float(rng.uniform(0.1, 0.9)), 5, 2)
 
 
 def _case_ego_concat_layer(rng):
-    return _layer_case(rng, MeanAggLayer(0.5, 3, 2, variant="ego-concat"))
+    return _layer_case(rng, 0.5, 3, 2, variant="ego-concat")
 
 
 def _case_folded_head(rng):
@@ -246,7 +249,7 @@ def _case_mlp_composite(rng):
 
 ALL_CASES = {
     "matmul": _case_matmul,
-    "spmm": _case_spmm,
+    "neighbor-mean": _case_neighbor_mean,
     "mean_aggregate": _case_mean_aggregate,
     "mean-agg-layer-narrowing": _case_narrowing_layer,
     "ego-concat-layer": _case_ego_concat_layer,

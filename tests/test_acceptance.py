@@ -17,7 +17,7 @@ from magsim.experiments import (TrainConfig, corruption_probe, derive_seed,
                                 sweep_noise, track_gradients)
 from magsim.graph import (ModalitySpec, SyntheticSpec, generate, inject_noise,
                           load, save)
-from magsim.supra import SupraConfig, SupraModel
+from magsim.supra import SupraModel
 from magsim.validation import (check_dilution, check_iff, check_mc_agreement,
                                check_starvation_bound)
 
@@ -211,8 +211,9 @@ def test_criterion_09_synergy_width_invariance():
                              [ModalitySpec("text", 8 * dim_scale, 1.0, 0.2),
                               ModalitySpec("visual", 12 * dim_scale, 1.0, 0.2)],
                              homophily=0.7, mean_degree=4, seed=31)
-        return SupraModel(np.random.default_rng(0), generate(spec),
-                          SupraConfig(proj_dim=16, num_layers=2))
+        return SupraModel(np.random.default_rng(0), generate(spec), hidden=16,
+                          num_layers=2, alpha=0.5, dropout=0.3, smoothing=0.1,
+                          lambda_aux=0.0, variant="full")
 
     small, big = build(1), build(10)
     width = small.params["synergy.w0"].shape[0]

@@ -1,4 +1,4 @@
-"""Mean-aggregation layers, the two fusion paradigms, and the ego-Jacobian."""
+"""Mean aggregation, the GNN stack, the two fusion paradigms, and the ego-Jacobian."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ import fd_checks
 from conftest import isolated_node_mag, randomize_params
 from magsim import aggregation
 from magsim import tensor as T
-from magsim.aggregation import (GnnStack, MeanAggLayer, ego_jacobian_diag,
-                                mean_aggregate)
-from magsim.errors import ContractError, ShapeError
+from magsim.aggregation import GnnStack, ego_jacobian_diag, mean_aggregate
+from magsim.errors import ContractError, ShapeError, TapeError
 from magsim.graph import (CsrMatrix, Mag, ModalitySpec, SyntheticSpec,
                           generate)
 from magsim.models import IndependentAgg, JointGcn
@@ -65,6 +64,43 @@ def test_mean_aggregate_rejects_malformed_adjacency():
         mean_aggregate(T.Tensor(np.ones((3, 2))), np.eye(3), 0.5)
 
 
+def test_neighbor_mean_mutual_pair():
+    adj = CsrMatrix.from_undirected_edges(np.array([[0, 1]]), 2).row_normalize()
+    out = mean_aggregate(T.Tensor([[1.0, 0.0], [0.0, 1.0]]), adj, 0.0)
+    assert np.array_equal(out.data, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_neighbor_mean_isolated_node_zero_row():
+    adj = CsrMatrix.from_undirected_edges(np.array([[0, 1]]), 3).row_normalize()
+    out = mean_aggregate(T.Tensor(np.ones((3, 2))), adj, 0.0)
+    assert np.array_equal(out.data[2], [0.0, 0.0])
+
+
+def test_neighbor_mean_dense_oracle():
+    rng = np.random.default_rng(0)
+    adj = fd_checks._random_adj(rng, 10)
+    h = rng.standard_normal((10, 4))
+    out = mean_aggregate(T.Tensor(h), adj, 0.0)
+    assert np.max(np.abs(out.data - adj.to_dense() @ h)) < 1e-12
+
+
+def test_neighbor_mean_requires_normalized():
+    raw = CsrMatrix.from_undirected_edges(np.array([[0, 1]]), 2)
+    with pytest.raises(ContractError):
+        mean_aggregate(T.Tensor(np.ones((2, 1))), raw, 0.0)
+
+
+def test_alpha_zero_operator_is_the_adjacency():
+    # node 2 is isolated: the explicit zero alpha*I would put on the diagonal
+    # must not be stored, so P is A_hat's own CSR and P^T its transpose
+    adj = CsrMatrix.from_undirected_edges(np.array([[0, 1], [0, 3], [1, 3]]), 4).row_normalize()
+    assert adj.degrees[2] == 0
+    p, p_t = adj.mix_operator(0.0)
+    for got, want in ((p, adj.scipy()), (p_t, adj.scipy().T.tocsr())):
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
 def test_mean_aggregate_records_one_tape_node():
     tape = T.Tape()
     h = T.Tensor(np.ones((6, 2)), tape)
@@ -74,7 +110,7 @@ def test_mean_aggregate_records_one_tape_node():
 
 
 # ---------------------------------------------------------------------------
-# layers and stack
+# the stack and its layers
 # ---------------------------------------------------------------------------
 
 def test_narrowing_layer_transforms_before_propagating(monkeypatch):
@@ -89,7 +125,8 @@ def test_narrowing_layer_transforms_before_propagating(monkeypatch):
         return mean_aggregate(x, a, alpha)
 
     monkeypatch.setattr(aggregation, "mean_aggregate", spy)
-    out = MeanAggLayer(0.3, in_dim=6, out_dim=2).forward(T.Tensor(h), adj, T.Tensor(w))
+    out = GnnStack(1, 0.3, hidden_dim=2, in_dim=6).forward(T.Tensor(h), adj,
+                                                          {"g.w0": T.Tensor(w)}, "g")
     assert widths == [2]                             # P(HW), at the output width
     dense_p = 0.3 * np.eye(9) + 0.7 * adj.to_dense()
     assert np.max(np.abs(out.data - (dense_p @ h) @ w)) < 1e-12   # == (PH)W
@@ -98,25 +135,25 @@ def test_narrowing_layer_transforms_before_propagating(monkeypatch):
 def test_layer_alpha_bounds():
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ContractError):
-            MeanAggLayer(bad)
+            GnnStack(1, bad)
 
 
 def test_layer_unknown_variant():
     with pytest.raises(ContractError):
-        MeanAggLayer(0.5, variant="gat")
+        GnnStack(1, 0.5, variant="gat")
 
 
 def test_ego_concat_doubles_width():
-    layer = MeanAggLayer(0.5, in_dim=4, out_dim=3, variant="ego-concat")
-    assert layer.weight_shape() == (8, 3)
-    assert MeanAggLayer(0.5, in_dim=4, out_dim=3).weight_shape() == (4, 3)
+    stack = GnnStack(1, 0.5, hidden_dim=3, in_dim=4, variant="ego-concat")
+    assert stack.param_shapes("g") == {"g.w0": (8, 3)}
+    assert GnnStack(1, 0.5, hidden_dim=3, in_dim=4).param_shapes("g") == {"g.w0": (4, 3)}
 
 
 def test_layer_missing_weight_errors():
-    layer = MeanAggLayer(0.5, in_dim=2, out_dim=2)
+    stack = GnnStack(1, 0.5, hidden_dim=2)
     adj = CsrMatrix.from_undirected_edges(np.array([[0, 1]]), 2).row_normalize()
     with pytest.raises(ContractError):
-        layer.forward(T.Tensor(np.ones((2, 2))), adj)
+        stack.forward(T.Tensor(np.ones((2, 2))), adj, {}, "g")
 
 
 def test_folded_head_propagates_at_class_width(monkeypatch):
@@ -175,6 +212,17 @@ def test_joint_single_modality_is_plain_gcn():
     out = model.forward(mag, mag.adjacency.row_normalize(), None,
                         training=False, rng=None)
     assert out["logits"].data.shape == (60, 3)
+
+
+def test_joint_branch_grad_norms_need_backward():
+    mag = _single_modality_mag()
+    model = JointGcn(np.random.default_rng(0), mag, hidden=8, num_layers=2, alpha=0.5,
+                     dropout=0.0, smoothing=0.1)
+    with pytest.raises(TapeError):
+        model.branch_grad_norms()
+    model.forward(mag, mag.adjacency.row_normalize(), T.Tape(), training=False, rng=None)
+    with pytest.raises(TapeError):
+        model.branch_grad_norms()
 
 
 def test_joint_identical_rows_give_identical_logits():

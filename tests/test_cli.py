@@ -147,7 +147,12 @@ def _append_edge(line_of):
     ("meta.json", _rewrite_meta(lambda m: m.update(num_classes="3"))),
     ("edges.csv", _append_edge(lambda first: "4,4\n")),          # a self-loop
     ("edges.csv", _append_edge(lambda first: first)),             # a duplicate edge
-], ids=["no-val-split", "no-dim", "string-count", "self-loop", "duplicate-edge"])
+    ("meta.json", _rewrite_meta(lambda m: m.update(num_nodes=10**15))),
+    ("edges.csv", _append_edge(lambda first: "99999999999999999999,1\n")),
+    ("repeated modality name",
+     _rewrite_meta(lambda m: m["modalities"].append(m["modalities"][0]))),
+], ids=["no-val-split", "no-dim", "string-count", "self-loop", "duplicate-edge",
+        "inflated-num-nodes", "edge-past-int64", "repeated-modality"])
 def test_malformed_dataset_is_io_error(tmp_path, config_path, dataset_dir, capsys,
                                        name, edit):
     edit(dataset_dir)

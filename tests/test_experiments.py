@@ -60,6 +60,7 @@ def test_config_rejects_bad_patience_and_lr():
     ("hidden", 0), ("num_layers", 0), ("max_epochs", 0), ("max_epochs", -3),
     ("hidden", 2.5), ("num_layers", True),
     ("alpha", 0.0), ("alpha", 1.0), ("alpha", -0.5), ("alpha", float("nan")),
+    ("supra_variant", "dual"),
 ])
 def test_config_rejects_bad_value(field, value):
     with pytest.raises(ContractError, match=field):

@@ -3,6 +3,7 @@
 import json
 import os
 import pickle
+import shutil
 import tracemalloc
 import warnings
 
@@ -362,6 +363,15 @@ def test_load_malformed_meta(tmp_path):
         load(str(tmp_path))
 
 
+def test_non_utf8_meta_is_dataset_error(tmp_path):
+    d = tmp_path / "ds"
+    save(three_node_mag(), str(d))
+    with open(d / "meta.json", "ab") as fh:
+        fh.write(b"\xff")
+    with pytest.raises(DatasetError, match="malformed .*meta.json"):
+        load(str(d))
+
+
 def test_load_split_overlap(small_mag, tmp_path):
     import json
     d = str(tmp_path / "ds")
@@ -566,6 +576,112 @@ def test_malformed_meta_field_is_dataset_error(small_mag, tmp_path, edit):
         load(d)
 
 
+def test_inflated_num_nodes_fails_before_any_array_is_sized(tmp_path):
+    # 10**15 nodes would ask numpy for petabytes; edges.csv is not even read
+    d = str(tmp_path / "ds")
+    save(three_node_mag(), d)
+    _edit_meta(d, lambda m: m.update(num_nodes=10**15))
+    os.remove(os.path.join(d, "edges.csv"))
+    with pytest.raises(DatasetError, match="num_nodes is 1000000000000000 but there are 3 labels"):
+        load(d)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("0,1\n99999999999999999999,1\n", 2),
+    ("0,1\n1,2\n2,-9223372036854775809\n", 3),
+])
+def test_edge_index_outside_int64_names_its_line(tmp_path, text, line):
+    d = tmp_path / "ds"
+    save(three_node_mag(), str(d))
+    (d / "edges.csv").write_text(text)
+    with pytest.raises(DatasetError, match=rf"edges\.csv:{line}: node index outside int64"):
+        load(str(d))
+
+
+def test_repeated_modality_name_is_rejected(tmp_path):
+    mag = three_node_mag()
+    with pytest.raises(ShapeError, match="repeated modality name"):
+        Mag(3, 2, [("text", 2), ("text", 2)], mag.features, mag.labels, mag.splits,
+            mag.adjacency)
+    d = str(tmp_path / "ds")
+    save(mag, d)
+    _edit_meta(d, lambda m: m["modalities"].append(m["modalities"][0]))
+    with pytest.raises(DatasetError, match="repeated modality name"):
+        load(d)
+
+
+@pytest.mark.parametrize("name", ["text.f32/x", "a\x00b", "\udc00x", "x" * 300],
+                         ids=["under-a-file", "nul", "lone-surrogate", "too-long"])
+def test_modality_name_no_file_can_have_is_dataset_error(tmp_path, name):
+    d = str(tmp_path / "ds")
+    save(three_node_mag(), d)
+    _edit_meta(d, lambda m: m["modalities"][0].update(name=name))
+    with pytest.raises(DatasetError, match="cannot read"):
+        load(d)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed datasets: every malformed input ends in DatasetError
+# ---------------------------------------------------------------------------
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(max_value=-1),
+                     st.just(2 ** 63), st.just(10 ** 15), st.floats(),
+                     st.text(max_size=12))
+_values = st.one_of(_scalars, st.lists(_scalars, max_size=4),
+                    st.lists(st.integers(-2, 2 ** 64), min_size=38, max_size=42))
+_META_FIELDS = ("num_nodes", "num_classes", "labels", "splits.train", "splits.val",
+                "splits.test", "modalities.0.name", "modalities.1.name",
+                "modalities.0.dim", "modalities.1.dim")
+_edge_lines = st.one_of(st.text(max_size=30),
+                        st.from_regex(r"-?[0-9]{1,22} ?, ?-?[0-9]{1,22}", fullmatch=True))
+_mutations = st.lists(st.one_of(st.tuples(st.just("meta"), st.sampled_from(_META_FIELDS), _values),
+                                st.tuples(st.just("edges"), st.integers(0, 200), _edge_lines)),
+                      min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("fuzz") / "base")
+    save(generate(SyntheticSpec(40, 3, [ModalitySpec("text", 5, 1.0, 0.2),
+                                        ModalitySpec("visual", 4, 1.0, 0.4)],
+                                mean_degree=4, seed=9)), d)
+    return d
+
+
+def _mutate(d, mutations):
+    """Apply (kind, where, value) edits: the meta.json field at a dotted path,
+    or the edges.csv line at an index taken modulo the line count."""
+    with open(os.path.join(d, "meta.json")) as fh:
+        meta = json.load(fh)
+    with open(os.path.join(d, "edges.csv")) as fh:
+        lines = fh.read().split("\n")
+    for kind, where, value in mutations:
+        if kind == "meta":
+            *path, last = where.split(".")
+            node = meta
+            for key in path:
+                node = node[int(key)] if key.isdigit() else node[key]
+            node[last] = value
+        else:
+            lines[where % len(lines)] = value
+    with open(os.path.join(d, "meta.json"), "w") as fh:
+        json.dump(meta, fh)
+    with open(os.path.join(d, "edges.csv"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+
+
+@given(mutations=_mutations)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_dataset_raises_only_dataset_error(fuzz_base, tmp_path_factory, mutations):
+    d = str(tmp_path_factory.mktemp("case"))
+    shutil.copytree(fuzz_base, d, dirs_exist_ok=True)
+    _mutate(d, mutations)
+    try:
+        load(d)
+    except DatasetError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # one-key edge sort and dedupe, cached normalization
 # ---------------------------------------------------------------------------
@@ -609,7 +725,7 @@ def test_caches_stay_out_of_pickles():
     size = len(pickle.dumps(mag))
     norm = mag.adjacency.row_normalize()
     norm.mix_operator(0.5)
-    norm.scipy_t()
+    norm.mix_operator(0.0)
     assert len(pickle.dumps(mag)) == size
     assert len(pickle.dumps(norm)) == len(pickle.dumps(CsrMatrix(*norm._args())))
     copy = pickle.loads(pickle.dumps(mag))

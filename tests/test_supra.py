@@ -1,24 +1,19 @@
-"""Dual-pathway model: pooling, routing variants, objective, checkpoints."""
-
-import json
-import struct
+"""Dual-pathway model: pooling, routing variants, objective."""
 
 import numpy as np
 import pytest
 
 from conftest import isolated_node_mag, randomize_params, three_node_mag
 from magsim import tensor as T
-from magsim.errors import ContractError, TapeError
+from magsim.errors import TapeError
 from magsim.graph import ModalitySpec, SyntheticSpec, generate
-from magsim.supra import (SupraConfig, SupraModel, load_checkpoint,
-                          save_checkpoint)
+from magsim.supra import SupraModel
 
 
-def build(mag, seed=0, **cfg_kwargs):
-    cfg_kwargs.setdefault("proj_dim", 6)
-    cfg_kwargs.setdefault("dropout", 0.0)
-    cfg = SupraConfig(**cfg_kwargs)
-    return SupraModel(np.random.default_rng(seed), mag, cfg)
+def build(mag, seed=0, **kwargs):
+    kwargs = {"hidden": 6, "num_layers": 2, "alpha": 0.5, "dropout": 0.0,
+              "smoothing": 0.1, "lambda_aux": 0.0, "variant": "full", **kwargs}
+    return SupraModel(np.random.default_rng(seed), mag, **kwargs)
 
 
 def fwd(model, mag, tape=None, training=False, rng=None):
@@ -38,26 +33,6 @@ def small_two_modality(seed=21):
                                  ModalitySpec("visual", 7, 1.0, 0.4)],
                          homophily=0.7, mean_degree=4, seed=seed)
     return generate(spec)
-
-
-# ---------------------------------------------------------------------------
-# configuration rules
-# ---------------------------------------------------------------------------
-
-def test_unknown_variant_rejected():
-    with pytest.raises(ContractError):
-        SupraConfig(variant="dual")
-
-
-def test_negative_lambda_rejected():
-    with pytest.raises(ContractError):
-        SupraConfig(lambda_aux=-0.1)
-
-
-def test_base_and_synergy_only_force_lambda_zero():
-    assert SupraConfig(variant="base", lambda_aux=0.9).lambda_aux == 0.0
-    assert SupraConfig(variant="synergy-only", lambda_aux=0.9).lambda_aux == 0.0
-    assert SupraConfig(variant="full", lambda_aux=0.9).lambda_aux == 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +101,10 @@ def test_modality_permutation_symmetry():
     model_b.params["head_s.w"][...] = model.params["head_s.w"]
     model_b.params["head_s.b"][...] = model.params["head_s.b"]
     # the synergy input concat is reordered: permute the first weight's rows
-    d = model.cfg.proj_dim
+    d = 6                      # build's projection width
     w0 = model.params["synergy.w0"]
     model_b.params["synergy.w0"][...] = np.concatenate([w0[d:], w0[:d]], axis=0)
-    for i in range(1, model.cfg.num_layers):
+    for i in range(1, model.stack.num_layers):
         model_b.params[f"synergy.w{i}"][...] = model.params[f"synergy.w{i}"]
     out_b = fwd(model_b, swapped)["logits"].data
     assert np.max(np.abs(out_a - out_b)) < 1e-12
@@ -141,7 +116,7 @@ def test_modality_permutation_symmetry():
 
 def test_synergy_width_is_total_projection_width():
     mag = small_two_modality()
-    model = build(mag, proj_dim=6)
+    model = build(mag, hidden=6)
     assert model.params["synergy.w0"].shape == (12, 6)
     assert model.params["synergy.w1"].shape == (6, 6)
 
@@ -152,8 +127,8 @@ def test_synergy_param_count_invariant_to_raw_dims():
                                      ModalitySpec("visual", 70, 1.0, 0.4)],
                              homophily=0.7, mean_degree=4, seed=22)
     big = generate(big_spec)
-    a = build(small, proj_dim=6).synergy_param_count()
-    b = build(big, proj_dim=6).synergy_param_count()
+    a = build(small, hidden=6).synergy_param_count()
+    b = build(big, hidden=6).synergy_param_count()
     assert a == b > 0
 
 
@@ -161,8 +136,8 @@ def test_synergy_param_count_invariant_to_raw_dims():
 # objective
 # ---------------------------------------------------------------------------
 
-def _loss_parts(mag, **cfg_kwargs):
-    model = build(mag, **cfg_kwargs)
+def _loss_parts(mag, **kwargs):
+    model = build(mag, **kwargs)
     tape = T.Tape()
     out = fwd(model, mag, tape)
     losses = model.loss(out, mag.labels, mag.splits["train"])
@@ -172,6 +147,14 @@ def _loss_parts(mag, **cfg_kwargs):
 def test_lambda_zero_total_equals_task():
     mag = small_two_modality()
     _, _, losses = _loss_parts(mag, lambda_aux=0.0)
+    assert losses["total"].data[0, 0] == losses["task"].data[0, 0]
+
+
+@pytest.mark.parametrize("variant", ["base", "synergy-only"])
+def test_lambda_applies_only_to_full_variant(variant):
+    mag = small_two_modality()
+    _, _, losses = _loss_parts(mag, lambda_aux=0.9, variant=variant)
+    assert losses["aux"] and all(a.data[0, 0] > 0 for a in losses["aux"].values())
     assert losses["total"].data[0, 0] == losses["task"].data[0, 0]
 
 
@@ -212,7 +195,7 @@ def test_identical_modalities_give_identical_aux_grads():
     for suffix in (".w", ".b"):
         model.params[f"proj_visual{suffix}"][...] = model.params[f"proj_text{suffix}"]
         model.params[f"head_visual{suffix}"][...] = model.params[f"head_text{suffix}"]
-    d = model.cfg.proj_dim
+    d = 6                      # build's projection width
     w0 = model.params["synergy.w0"]
     w0[d:, :] = w0[:d, :]
     tape = T.Tape()
@@ -264,112 +247,9 @@ def test_branches_cover_projectors_and_synergy():
     assert b["synergy"] == ["synergy.w0", "synergy.w1"]
 
 
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    mag = small_two_modality()
-    model = build(mag, seed=3)
-    path = str(tmp_path / "model.ckpt")
-    save_checkpoint(model, path)
-    other = build(mag, seed=99)
-    assert any(not np.array_equal(other.params[k], model.params[k])
-               for k in model.params)
-    load_checkpoint(other, path)
-    for k in model.params:
-        assert np.array_equal(other.params[k], model.params[k])
-
-
-def test_checkpoint_save_deterministic(tmp_path):
-    mag = small_two_modality()
-    model = build(mag, seed=3)
-    p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
-    save_checkpoint(model, p1)
-    save_checkpoint(model, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "junk.ckpt"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    mag = small_two_modality()
-    with pytest.raises(ContractError):
-        load_checkpoint(build(mag), str(path))
-
-
-def test_checkpoint_unexpected_param(tmp_path):
-    mag = small_two_modality()
-    model = build(mag)
-    path = str(tmp_path / "model.ckpt")
-    save_checkpoint(model, path)
-    # a structurally different model cannot absorb this checkpoint
-    solo_spec = SyntheticSpec(80, 3, [ModalitySpec("text", 5, 1.0, 0.2)],
-                              homophily=0.7, mean_degree=4, seed=23)
-    other = build(generate(solo_spec))
-    with pytest.raises(ContractError):
-        load_checkpoint(other, path)
-
-
-def _saved(tmp_path, model):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(model, str(path))
-    return path
-
-
-def test_checkpoint_into_deeper_model_rejected(tmp_path):
-    # a lenient loader leaves a 3-layer model's synergy.w2 at its random init
-    mag = small_two_modality()
-    path = _saved(tmp_path, build(mag, num_layers=2))
-    with pytest.raises(ContractError, match="synergy.w2"):
-        load_checkpoint(build(mag, num_layers=3), str(path))
-
-
-def test_checkpoint_broadcastable_shape_rejected(tmp_path):
-    # a lenient loader broadcasts a 1x6 row into the 6x6 weight
-    mag = small_two_modality()
-    small = build(mag, proj_dim=6)
-    small.params["synergy.w1"] = small.params["synergy.w1"][:1].copy()
-    path = _saved(tmp_path, small)
-    target = build(mag, proj_dim=6, seed=4)
-    before = {k: v.copy() for k, v in target.params.items()}
-    with pytest.raises(ContractError, match="synergy.w1"):
-        load_checkpoint(target, str(path))
-    assert all(np.array_equal(before[k], target.params[k]) for k in before)
-
-
-@pytest.mark.parametrize("cut", [6, 20, -8, -1], ids=["header", "manifest", "blob", "byte"])
-def test_checkpoint_truncated_rejected(tmp_path, cut):
-    mag = small_two_modality()
-    path = _saved(tmp_path, build(mag))
-    path.write_bytes(path.read_bytes()[:cut])
-    with pytest.raises(ContractError):
-        load_checkpoint(build(mag), str(path))
-
-
-def test_checkpoint_trailing_bytes_rejected(tmp_path):
-    mag = small_two_modality()
-    path = _saved(tmp_path, build(mag))
-    path.write_bytes(path.read_bytes() + b"\x00" * 8)
-    with pytest.raises(ContractError, match="bytes"):
-        load_checkpoint(build(mag), str(path))
-
-
-def test_checkpoint_bytes_are_the_documented_format(tmp_path):
-    # magic, manifest length, JSON manifest of sorted (name, shape), then the
-    # little-endian f64 values in the same order
-    mag = small_two_modality()
-    model = build(mag, seed=3)
-    names = sorted(model.params)
-    manifest = json.dumps({"params": [[n, list(model.params[n].shape)] for n in names]})
-    expected = (b"MAGS" + struct.pack("<I", len(manifest)) + manifest.encode()
-                + b"".join(model.params[n].astype("<f8").tobytes() for n in names))
-    assert _saved(tmp_path, model).read_bytes() == expected
-
-
 def test_forward_on_hand_built_graph_shapes():
     mag = three_node_mag()
-    model = build(mag, proj_dim=4)
+    model = build(mag, hidden=4)
     model.params["head_s.b"][...] = [[0.5, -1.0]]   # node 2 is isolated
     out = fwd(model, mag)
     assert out["logits"].data.shape == (3, 2)

@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 
 import fd_checks
 from magsim import tensor as T
-from magsim.errors import ContractError, ShapeError, TapeError
+from magsim.errors import ShapeError, TapeError
 from magsim.experiments import TrainConfig, build_model
-from magsim.graph import CsrMatrix, ModalitySpec, SyntheticSpec, generate
-
-
-def mutual_pair_adj():
-    return CsrMatrix.from_undirected_edges(np.array([[0, 1]]), 2).row_normalize()
+from magsim.graph import ModalitySpec, SyntheticSpec, generate
 
 
 # ---------------------------------------------------------------------------
@@ -38,31 +34,6 @@ def test_matmul_hand_arithmetic():
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
         T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
-
-
-def test_spmm_mutual_pair():
-    out = T.spmm(mutual_pair_adj(), T.Tensor([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.array_equal(out.data, [[0.0, 1.0], [1.0, 0.0]])
-
-
-def test_spmm_isolated_node_zero_row():
-    adj = CsrMatrix.from_undirected_edges(np.array([[0, 1]]), 3).row_normalize()
-    out = T.spmm(adj, T.Tensor(np.ones((3, 2))))
-    assert np.array_equal(out.data[2], [0.0, 0.0])
-
-
-def test_spmm_dense_oracle():
-    rng = np.random.default_rng(0)
-    adj = fd_checks._random_adj(rng, 10)
-    h = rng.standard_normal((10, 4))
-    out = T.spmm(adj, T.Tensor(h))
-    assert np.max(np.abs(out.data - adj.to_dense() @ h)) < 1e-12
-
-
-def test_spmm_requires_normalized():
-    raw = CsrMatrix.from_undirected_edges(np.array([[0, 1]]), 2)
-    with pytest.raises(ContractError):
-        T.spmm(raw, T.Tensor(np.ones((2, 1))))
 
 
 def test_relu_example():
@@ -140,13 +111,6 @@ def test_cross_entropy_direct_summation_oracle():
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ShapeError):
         T.cross_entropy_smoothed(T.Tensor(np.zeros((2, 3))), np.array([0, 3]), 0.0)
-
-
-def test_softmax_rows_stability():
-    big = np.array([[1000.0, 1000.0], [-1000.0, 0.0]])
-    p = T.softmax_rows(big)
-    assert np.all(np.isfinite(p))
-    assert np.allclose(p.sum(axis=1), 1.0)
 
 
 # ---------------------------------------------------------------------------
