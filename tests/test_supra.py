@@ -5,7 +5,8 @@ import pytest
 
 from conftest import isolated_node_mag, randomize_params, three_node_mag
 from magsim import tensor as T
-from magsim.errors import TapeError
+from magsim.errors import ContractError, TapeError
+from magsim.experiments import TrainConfig
 from magsim.graph import ModalitySpec, SyntheticSpec, generate
 from magsim.supra import SupraModel
 
@@ -142,6 +143,11 @@ def _loss_parts(mag, **kwargs):
     out = fwd(model, mag, tape)
     losses = model.loss(out, mag.labels, mag.splits["train"])
     return model, tape, losses
+
+
+def test_negative_lambda_rejected():
+    with pytest.raises(ContractError):
+        TrainConfig(kind="supra", supra_variant="full", lambda_aux=-0.1)
 
 
 def test_lambda_zero_total_equals_task():
