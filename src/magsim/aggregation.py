@@ -31,14 +31,13 @@ def mean_aggregate(h: T.Tensor, adj: CsrMatrix, alpha: float) -> T.Tensor:
 
 
 class GnnStack:
-    """L aggregation layers with ReLU between them (none after the last),
-    optionally with a linear head folded into the last layer.  A mean-mix
-    layer computes P(HW), an ego-concat layer [H, A_hat H] W; without
-    ``hidden_dim`` the layers carry no weight.  alpha lies strictly inside
-    (0,1): the analysis this stack is built to test excludes the boundaries,
-    where P is a no-op or pure smoothing."""
+    """L weighted aggregation layers with ReLU between them (none after the
+    last), optionally with a linear head folded into the last layer.  A
+    mean-mix layer computes P(HW), an ego-concat layer [H, A_hat H] W.
+    alpha lies strictly inside (0,1): the analysis this stack is built to
+    test excludes the boundaries, where P is a no-op or pure smoothing."""
 
-    def __init__(self, num_layers: int, alpha: float, hidden_dim=None,
+    def __init__(self, num_layers: int, alpha: float, hidden_dim: int,
                  in_dim=None, variant="mean-mix"):
         if num_layers < 1:
             raise ContractError(f"stack needs at least one layer, got {num_layers}")
@@ -49,41 +48,35 @@ class GnnStack:
         self.num_layers = num_layers
         self.alpha = alpha
         self.variant = variant
-        self.weight_shapes = []          # one (rows, cols) per layer, or none at all
-        if hidden_dim is not None:
-            width = 2 if variant == "ego-concat" else 1
-            d_in = in_dim if in_dim is not None else hidden_dim
-            self.weight_shapes = [(width * (d_in if i == 0 else hidden_dim), hidden_dim)
-                                  for i in range(num_layers)]
+        width = 2 if variant == "ego-concat" else 1
+        d_in = in_dim if in_dim is not None else hidden_dim
+        self.weight_shapes = [(width * (d_in if i == 0 else hidden_dim), hidden_dim)
+                              for i in range(num_layers)]
 
     def param_shapes(self, prefix: str) -> dict:
         return {f"{prefix}.w{i}": shape for i, shape in enumerate(self.weight_shapes)}
 
     def forward(self, h: T.Tensor, adj: CsrMatrix, params: dict, prefix: str,
-                activation: bool = True, head: T.Tensor | None = None) -> T.Tensor:
+                head: T.Tensor | None = None) -> T.Tensor:
         """With a ``head`` weight (hidden x C) the last layer uses W_last @ head:
         the linear head folded in, so a mean-mix layer returns P(H W_last head)
         and its sparse product and backward run at width C.  The head's bias
         is the caller's to add after P, whose rows sum to alpha at isolated
         nodes."""
         for i in range(self.num_layers):
-            w = params.get(f"{prefix}.w{i}") if self.weight_shapes else None
-            if self.weight_shapes and w is None:
+            w = params.get(f"{prefix}.w{i}")
+            if w is None:
                 raise ContractError(f"layer {i} has a weight but none was supplied")
             last = i + 1 == self.num_layers
             if head is not None and last:
-                if w is None:
-                    raise ContractError("a folded head needs a weighted last layer")
                 w = T.matmul(w, head)
             if self.variant == "ego-concat":
-                h = T.concat_cols([h, mean_aggregate(h, adj, 0.0)])
-                if w is not None:
-                    h = T.matmul(h, w)
+                h = T.matmul(T.concat_cols([h, mean_aggregate(h, adj, 0.0)]), w)
             else:
                 # transform before propagate: P(HW) equals (PH)W, and the sparse
                 # product runs at the output width, never wider than the input here
-                h = mean_aggregate(h if w is None else T.matmul(h, w), adj, self.alpha)
-            if activation and not last:
+                h = mean_aggregate(T.matmul(h, w), adj, self.alpha)
+            if not last:
                 h = T.relu(h)
         return h
 

@@ -20,7 +20,7 @@ from .errors import ConfigError, ContractError, DatasetError, MagsimError
 from .experiments import (NumericError, TrainConfig, corruption_probe,
                           derive_seed, sweep_noise, track_gradients, train,
                           write_csv, write_manifest)
-from .graph import ModalitySpec, SyntheticSpec, _calibrate, generate, load, save
+from .graph import ModalitySpec, SyntheticSpec, calibrate, generate, load, save
 from .theory import tau
 from .validation import ALL_CHECKS
 
@@ -94,7 +94,7 @@ def train_config(doc: dict, seed_override=None) -> TrainConfig:
 
 def _print_dataset_stats(mag, alpha: float):
     for name in mag.features:
-        beta_hat, sigma_n = _calibrate(mag, name)
+        beta_hat, sigma_n = calibrate(mag, name)
         sig = mag.signals[name]
         signal_sq = float((sig[0] ** 2).sum())
         resid = mag.features[name] - sig[mag.labels]

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .errors import ContractError, MagsimError
-from .graph import Mag, _calibrate, corrupt_modality, inject_noise
+from .graph import Mag, calibrate, corrupt_modality, inject_noise
 from .models import IndependentAgg, JointGcn, MlpModel
 from .supra import VARIANTS, SupraModel
 from .theory import tau
@@ -242,7 +242,7 @@ def sweep_noise(mag: Mag, scales, kinds, seeds, base_cfg: TrainConfig,
     annotation = {"modalities": {}}
     if mag.signals is not None:
         for name in mag.features:
-            beta_hat, sigma_n = _calibrate(mag, name)
+            beta_hat, sigma_n = calibrate(mag, name)
             annotation["modalities"][name] = {
                 "beta_hat": beta_hat, "sigma_n_sq_hat": sigma_n,
                 "tau": tau(base_cfg.alpha, beta_hat, sigma_n)}

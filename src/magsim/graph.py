@@ -309,51 +309,25 @@ def generate(spec: SyntheticSpec) -> Mag:
     return Mag(n, c, modalities, features, labels, splits, adjacency, signals)
 
 
-def _neighborhood_means(mag: Mag, modality: str):
-    """The neighborhood means of the non-isolated nodes and their own class
-    signals: one sparse product, the operands of both calibration estimates."""
+def calibrate(mag: Mag, modality: str) -> tuple:
+    """(beta_hat, sigma_n^2 hat) of one modality from one neighborhood mean
+    xbar over the non-isolated nodes.  beta_hat = E[<xbar, s_v>] / ||s_v||^2,
+    the alignment with the node's own class signal s_v (the homophily level
+    when class signals are orthogonal); sigma_n^2 hat = E||xbar - beta_hat s_v||^2.
+    beta_hat is a measurement and may fall slightly outside [0,1].  Needs
+    stored class signals, so synthetic graphs only."""
     if mag.signals is None:
         raise ContractError("calibration needs stored class signals (synthetic data)")
     if modality not in mag.features:
         raise ContractError(f"unknown modality {modality!r}")
     active = mag.adjacency.degrees > 0
     xbar = (mag.adjacency.row_normalize().scipy() @ mag.features[modality])[active]
-    return xbar, mag.signals[modality][mag.labels[active]]
-
-
-def _alignment(xbar, sig) -> float:
-    return float(np.mean(np.sum(xbar * sig, axis=1) / np.sum(sig ** 2, axis=1)))
-
-
-def _noise_power(xbar, sig, beta: float) -> float:
-    if not 0.0 <= beta <= 1.0:
-        raise ContractError(f"beta must be in [0,1], got {beta}")
+    sig = mag.signals[modality][mag.labels[active]]
+    beta = float(np.mean(np.sum(xbar * sig, axis=1) / np.sum(sig ** 2, axis=1)))
     resid = beta * sig                       # in place from here: one N x d temporary
     np.subtract(xbar, resid, out=resid)
     resid **= 2
-    return float(np.mean(np.sum(resid, axis=1)))
-
-
-def _calibrate(mag: Mag, modality: str) -> tuple:
-    """(beta_hat, sigma_n^2 hat) of one modality from one neighborhood mean:
-    measure_alignment, then measure_neighborhood_noise at that beta."""
-    xbar, sig = _neighborhood_means(mag, modality)
-    beta = _alignment(xbar, sig)
-    return beta, _noise_power(xbar, sig, beta)
-
-
-def measure_neighborhood_noise(mag: Mag, modality: str, beta: float) -> float:
-    """Mean squared norm of the neighborhood-average residual against
-    beta times the node's own class signal.  Needs stored class signals,
-    so synthetic graphs only.  Isolated nodes are excluded."""
-    return _noise_power(*_neighborhood_means(mag, modality), beta)
-
-
-def measure_alignment(mag: Mag, modality: str) -> float:
-    """Empirical alignment of the neighborhood mean with the node's own
-    class signal: E[<xbar_N, s_v>] / ||s_v||^2.  Equals the homophily level
-    when class signals are orthogonal."""
-    return _alignment(*_neighborhood_means(mag, modality))
+    return beta, float(np.mean(np.sum(resid, axis=1)))
 
 
 def inject_noise(mag: Mag, scale: float, seed: int) -> Mag:
@@ -430,8 +404,8 @@ def _read_edges(path: str) -> np.ndarray:
             warnings.simplefilter("ignore", UserWarning)     # an empty file
             rows = np.loadtxt(path, dtype="<i8,<i8", delimiter=",", ndmin=1, comments=None)
         return rows.view(np.int64).reshape(-1, 2)
-    except FileNotFoundError:
-        raise DatasetError(f"missing {path}")
+    except OSError as exc:                  # missing, or a directory
+        raise DatasetError(f"cannot read {path!r}: {exc}")
     except ValueError:
         pass
     try:
@@ -452,13 +426,24 @@ def _read_edges(path: str) -> np.ndarray:
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+def _read_f32(path: str, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols little-endian float32 file as float64."""
+    try:
+        raw = np.fromfile(path, dtype="<f4")
+    except (OSError, ValueError) as exc:     # missing, or a name no file can have
+        raise DatasetError(f"cannot read {path!r}: {exc}")
+    if raw.size != rows * cols:
+        raise DatasetError(f"{path}: expected {rows * cols} floats, found {raw.size}")
+    return raw.astype(np.float64).reshape(rows, cols)
+
+
 def load(directory: str) -> Mag:
     meta_path = os.path.join(directory, "meta.json")
     try:
         with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
-    except FileNotFoundError:
-        raise DatasetError(f"missing {meta_path}")
+    except OSError as exc:                  # missing, or a directory
+        raise DatasetError(f"cannot read {meta_path!r}: {exc}")
     except ValueError as exc:               # not JSON, or not UTF-8
         raise DatasetError(f"malformed {meta_path}: {exc}")
     try:
@@ -472,6 +457,8 @@ def load(directory: str) -> Mag:
         raise DatasetError(f"{meta_path}: bad or missing field ({type(exc).__name__}: {exc})")
     if labels.size != n:        # before num_nodes sizes any array
         raise DatasetError(f"{meta_path}: num_nodes is {n} but there are {labels.size} labels")
+    if c > n:                   # before a model sizes its heads by num_classes
+        raise DatasetError(f"{meta_path}: num_classes {c} exceeds num_nodes {n}")
 
     edges_path = os.path.join(directory, "edges.csv")
     pairs = _read_edges(edges_path)
@@ -484,20 +471,10 @@ def load(directory: str) -> Mag:
 
     features, signals = {}, {}
     for name, dim in modalities:
-        path = os.path.join(directory, f"feat_{name}.f32")
-        try:
-            raw = np.fromfile(path, dtype="<f4")
-        except (OSError, ValueError) as exc:     # missing, or a name no file can have
-            raise DatasetError(f"cannot read {path!r}: {exc}")
-        if raw.size != n * dim:
-            raise DatasetError(f"{path}: expected {n * dim} floats, found {raw.size}")
-        features[name] = raw.astype(np.float64).reshape(n, dim)
+        features[name] = _read_f32(os.path.join(directory, f"feat_{name}.f32"), n, dim)
         sig_path = os.path.join(directory, f"signals_{name}.f32")
         if os.path.exists(sig_path):
-            sraw = np.fromfile(sig_path, dtype="<f4")
-            if sraw.size != c * dim:
-                raise DatasetError(f"{sig_path}: expected {c * dim} floats, found {sraw.size}")
-            signals[name] = sraw.astype(np.float64).reshape(c, dim)
+            signals[name] = _read_f32(sig_path, c, dim)
 
     try:
         return Mag(n, c, modalities, features, labels, splits, adjacency,

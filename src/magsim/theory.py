@@ -56,13 +56,14 @@ def snr_post(p: SnrParams) -> float:
 
 def tau(alpha: float, beta: float, sigma_n_sq: float) -> float:
     """Critical encoder-noise threshold below which aggregation strictly
-    lowers the SNR.  beta=0 returns infinity: with no alignment at all,
-    aggregation degrades for every noise level."""
+    lowers the SNR.  beta <= 0 (a measured beta_hat can dip below 0)
+    returns infinity: with no alignment at all, aggregation degrades for
+    every noise level."""
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must be in (0,1), got {alpha}")
     if sigma_n_sq < 0:
         raise ContractError(f"sigma_n_sq must be >= 0, got {sigma_n_sq}")
-    if beta == 0:
+    if beta <= 0:
         return math.inf
     return (1.0 - alpha) * sigma_n_sq / (beta * (2.0 * alpha + (1.0 - alpha) * beta))
 
@@ -105,18 +106,11 @@ def mc_snr_post(p: SnrParams, dim: int = 16, num_samples: int = 20000,
     return gain ** 2 * p.signal_sq / mean_sq
 
 
-def starvation_bound(eta_mode: str, residual: float, w_norm: float,
-                     jac_norm: float, alpha: float | None = None,
-                     num_layers: int | None = None) -> float:
+def starvation_bound(residual: float, w_norm: float, jac_norm: float,
+                     alpha: float, num_layers: int) -> float:
     """Upper bound eta * |r| * ||w|| * ||dh/df|| on the gradient norm
-    reaching a branch encoder.  eta is alpha^L when the branch is routed
-    through L aggregation layers and 1 for a topology-agnostic bypass."""
-    if eta_mode == "bypass":
-        eta = 1.0
-    elif eta_mode == "gnn":
-        if alpha is None or num_layers is None or num_layers < 1:
-            raise ContractError("gnn mode needs alpha and num_layers >= 1")
-        eta = alpha ** num_layers
-    else:
-        raise ContractError(f"unknown eta mode {eta_mode!r}")
-    return eta * abs(residual) * w_norm * jac_norm
+    reaching a branch encoder routed through L aggregation layers, with
+    eta = alpha^L.  L = 0 is a topology-agnostic bypass: eta = 1 exactly."""
+    if num_layers < 0:
+        raise ContractError(f"num_layers must be >= 0, got {num_layers}")
+    return alpha ** num_layers * abs(residual) * w_norm * jac_norm

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .aggregation import GnnStack, ego_jacobian_diag
+from .aggregation import ego_jacobian_diag, mean_aggregate
 from .graph import CsrMatrix
 from .theory import SnrParams, crossover, mc_snr_post, snr_int, snr_post, \
     starvation_bound, tau
@@ -74,8 +74,9 @@ def autodiff_ego_gradient(adj: CsrMatrix, alpha: float, num_layers: int,
     tape = T.Tape()
     h = T.Tensor(np.zeros((adj.num_rows, 1)), tape)
     h.data[node, 0] = 1.0
-    stack = GnnStack(num_layers, alpha)
-    out = stack.forward(h, adj, {}, "", activation=False)
+    out = h
+    for _ in range(num_layers):
+        out = mean_aggregate(out, adj, alpha)
     scalar = T.sum_all(T.row_select(out, [node]))
     tape.backward(scalar)
     return float(h.grad[node, 0])
@@ -119,13 +120,10 @@ def measure_weak_branch_gradient(rng, alpha: float, num_layers: int):
     f_weak = T.Tensor(rng.standard_normal((d, p)), tape)
     x = np.zeros((n, d))
     x[node] = x_row                       # only the probed node's ego signal
-    h0 = T.matmul(T.Tensor(x, None), f_weak)
-    if num_layers:
-        adj = directed_chain(n)
-        stack = GnnStack(num_layers, alpha)
-        h = stack.forward(h0, adj, {}, "", activation=False)
-    else:
-        h = h0
+    h = T.matmul(T.Tensor(x, None), f_weak)
+    adj = directed_chain(n)
+    for _ in range(num_layers):
+        h = mean_aggregate(h, adj, alpha)
     pred = T.matmul(T.row_select(h, [node]), T.Tensor(w.reshape(p, 1), None))
     resid = T.add(pred, T.Tensor([[-y]], None))
     loss = T.scale(T.mul(resid, resid), 0.5)
@@ -134,12 +132,7 @@ def measure_weak_branch_gradient(rng, alpha: float, num_layers: int):
     measured = float(np.linalg.norm(f_weak.grad))
     r = float(resid.data[0, 0])
     jac = float(np.linalg.norm(x_row)) * np.sqrt(p)   # Frobenius of dh/dF
-    if num_layers:
-        bound = starvation_bound("gnn", r, float(np.linalg.norm(w)), jac,
-                                 alpha=alpha, num_layers=num_layers)
-    else:
-        bound = starvation_bound("bypass", r, float(np.linalg.norm(w)), jac)
-    return measured, bound
+    return measured, starvation_bound(r, float(np.linalg.norm(w)), jac, alpha, num_layers)
 
 
 def check_starvation_bound(num_instances: int = 100, seed: int = 0):

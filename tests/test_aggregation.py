@@ -135,12 +135,12 @@ def test_narrowing_layer_transforms_before_propagating(monkeypatch):
 def test_layer_alpha_bounds():
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ContractError):
-            GnnStack(1, bad)
+            GnnStack(1, bad, hidden_dim=2)
 
 
 def test_layer_unknown_variant():
     with pytest.raises(ContractError):
-        GnnStack(1, 0.5, variant="gat")
+        GnnStack(1, 0.5, hidden_dim=2, variant="gat")
 
 
 def test_ego_concat_doubles_width():
@@ -176,16 +176,9 @@ def test_folded_head_propagates_at_class_width(monkeypatch):
     assert np.max(np.abs(folded - unfolded)) < 1e-12
 
 
-def test_folded_head_needs_a_weighted_last_layer():
-    adj = ring_adj(4)
-    with pytest.raises(ContractError):
-        GnnStack(2, 0.5).forward(T.Tensor(np.ones((4, 2))), adj, {}, "g",
-                                 head=T.Tensor(np.ones((2, 3))))
-
-
 def test_stack_needs_a_layer():
     with pytest.raises(ContractError):
-        GnnStack(0, 0.5)
+        GnnStack(0, 0.5, hidden_dim=2)
 
 
 def test_stack_param_shapes_chain_dimensions():

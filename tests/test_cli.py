@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from magsim.cli import main
-from magsim.graph import load, measure_alignment, measure_neighborhood_noise
+from magsim.graph import calibrate, load
 from magsim.theory import tau
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -160,6 +160,15 @@ def test_malformed_dataset_is_io_error(tmp_path, config_path, dataset_dir, capsy
     assert name in capsys.readouterr().err
 
 
+def test_num_classes_above_num_nodes_exit_3(config_path, dataset_dir, capsys):
+    # without the signals sidecars nothing else bounds num_classes
+    for name in ("text", "visual"):
+        os.remove(os.path.join(dataset_dir, f"signals_{name}.f32"))
+    _rewrite_meta(lambda m: m.update(num_classes=10**15))(dataset_dir)
+    assert main(["train", "--config", config_path, "--data", dataset_dir]) == 3
+    assert "num_classes 1000000000000000 exceeds num_nodes 120" in capsys.readouterr().err
+
+
 def test_non_utf8_edges_exit_3(config_path, dataset_dir, capsys):
     with open(os.path.join(dataset_dir, "edges.csv"), "wb") as fh:
         fh.write(b"0,1\n\xff\xfe,2\n")
@@ -217,13 +226,31 @@ def test_gen_stdout_matches_the_public_estimators(tmp_path, config_path, capsys)
     mag = load(out_dir)
     expected = []
     for name in mag.features:
-        beta = measure_alignment(mag, name)
-        sigma = measure_neighborhood_noise(mag, name, beta)
+        beta, sigma = calibrate(mag, name)
         resid = mag.features[name] - mag.signals[name][mag.labels]
         snr = float((mag.signals[name][0] ** 2).sum()) / float((resid ** 2).sum(axis=1).mean())
         expected.append(f"{name}: beta_hat={beta:.4f} sigma_n_sq={sigma:.4f} "
                         f"snr_int={snr:.3f} tau={tau(0.5, beta, sigma):.4f}")
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_gen_and_sweep_accept_a_calibrated_beta_above_one(tmp_path, capsys):
+    # at homophily 1.0 the measured beta_hat is 1.028; it is reported, not
+    # range-checked as if a caller had chosen it
+    doc = {"synthetic": {"num_nodes": 300, "num_classes": 4, "homophily": 1.0,
+                         "mean_degree": 4, "seed": 2,
+                         "modalities": [{"name": "text", "dim": 16, "noise_var": 2.0}]},
+           "train": {"kind": "ef-mlp", "hidden": 8, "max_epochs": 2, "seed": 0},
+           "sweep": {"kinds": ["ef-mlp"], "seeds": [0]}}
+    path, data, out = tmp_path / "h1.json", str(tmp_path / "h1"), str(tmp_path / "h1.csv")
+    path.write_text(json.dumps(doc))
+    assert main(["gen", "--config", str(path), "--out", data]) == 0
+    assert "text: beta_hat=1.0280 " in capsys.readouterr().out
+    assert main(["sweep-noise", "--config", str(path), "--data", data,
+                 "--out", out, "--scales", "0"]) == 0
+    assert len(open(out).read().splitlines()) == 2
+    manifest = json.loads(open(out + ".manifest.json").read())
+    assert manifest["annotation"]["modalities"]["text"]["beta_hat"] > 1.0
 
 
 def test_gen_byte_reproducible(tmp_path, config_path):

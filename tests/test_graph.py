@@ -16,9 +16,8 @@ from conftest import three_node_mag
 from magsim import graph
 from magsim.errors import ContractError, DatasetError, ShapeError
 from magsim.graph import (CsrMatrix, Mag, ModalitySpec, SyntheticSpec,
-                          _sorted_unique, corrupt_modality, generate,
-                          inject_noise, load, measure_alignment,
-                          measure_neighborhood_noise, save)
+                          _sorted_unique, calibrate, corrupt_modality, generate,
+                          inject_noise, load, save)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +121,7 @@ def test_generate_edge_census(census_mag):
 
 
 def test_generate_alignment_matches_homophily(census_mag):
-    beta_hat = measure_alignment(census_mag, "text")
+    beta_hat, _ = calibrate(census_mag, "text")
     assert abs(beta_hat - 0.7) <= 0.03
 
 
@@ -188,7 +187,7 @@ def test_neighborhood_noise_zero_aligned():
     spec = SyntheticSpec(400, 3, [ModalitySpec("text", 8, 1.0, 0.0)],
                          homophily=1.0, seed=4)
     mag = generate(spec)
-    est = measure_neighborhood_noise(mag, "text", 1.0)
+    _, est = calibrate(mag, "text")
     assert est < 1e-10
 
 
@@ -197,29 +196,39 @@ def test_neighborhood_noise_averaging_oracle():
     spec = SyntheticSpec(4000, 3, [ModalitySpec("text", 12, 1.0, 1.0)],
                          homophily=1.0, mean_degree=25, seed=9)
     mag = generate(spec)
-    est = measure_neighborhood_noise(mag, "text", 1.0)
+    _, est = calibrate(mag, "text")
     assert abs(est - 0.04) / 0.04 < 0.10
+
+
+def _reference_alignment(mag, modality):
+    """Reference operands and beta_hat: the neighborhood means of the
+    non-isolated rows, those rows' own class signals, and their alignment."""
+    active = mag.adjacency.degrees > 0
+    xbar = (mag.adjacency.row_normalize().scipy() @ mag.features[modality])[active]
+    sig = mag.signals[modality][mag.labels[active]]
+    return xbar, sig, float(np.mean(np.sum(xbar * sig, axis=1) / np.sum(sig ** 2, axis=1)))
+
+
+def _reference_calibration(mag, modality):
+    """beta_hat and the mean of ||xbar - beta_hat s||^2 over the non-isolated rows."""
+    xbar, sig, beta = _reference_alignment(mag, modality)
+    return beta, float(np.mean(np.sum((xbar - beta * sig) ** 2, axis=1)))
 
 
 def test_neighborhood_noise_beta_zero_second_moment():
     spec = SyntheticSpec(300, 3, [ModalitySpec("text", 8, 1.0, 0.5)],
                          homophily=0.6, seed=6)
     mag = generate(spec)
-    norm = mag.adjacency.row_normalize()
-    xbar = norm.scipy() @ mag.features["text"]
-    active = mag.adjacency.degrees > 0
-    expected = float(np.mean(np.sum(xbar[active] ** 2, axis=1)))
-    assert abs(measure_neighborhood_noise(mag, "text", 0.0) - expected) < 1e-12
+    assert calibrate(mag, "text") == _reference_calibration(mag, "text")   # bit for bit
 
 
 def test_calibration_is_one_product_with_both_estimates(census_mag, monkeypatch):
-    beta = measure_alignment(census_mag, "text")
-    sigma = measure_neighborhood_noise(census_mag, "text", beta)
+    expected = _reference_calibration(census_mag, "text")
     means = []      # each neighborhood mean fetches the normalized adjacency once
     real = graph.CsrMatrix.row_normalize
     monkeypatch.setattr(graph.CsrMatrix, "row_normalize",
                         lambda self: means.append(1) or real(self))
-    assert graph._calibrate(census_mag, "text") == (beta, sigma)    # bit for bit
+    assert calibrate(census_mag, "text") == expected                   # bit for bit
     assert len(means) == 1
 
 
@@ -234,23 +243,33 @@ def _peak_bytes(fn):
 
 def test_calibration_peak_memory_is_that_of_the_alignment(census_mag):
     # both estimates from one product must not hold more N x d arrays at
-    # once than measure_alignment does (an out-of-place residual held one
+    # once than the alignment alone does (an out-of-place residual held one
     # more, +25.6 MB of peak RSS in `magsim gen` at N=200k)
     census_mag.adjacency.row_normalize()
     one_array = census_mag.features["text"].nbytes
-    alignment = _peak_bytes(lambda: measure_alignment(census_mag, "text"))
-    assert _peak_bytes(lambda: graph._calibrate(census_mag, "text")) < alignment + one_array / 2
+    alignment = _peak_bytes(lambda: _reference_alignment(census_mag, "text"))
+    assert _peak_bytes(lambda: calibrate(census_mag, "text")) < alignment + one_array / 2
+
+
+@pytest.mark.parametrize("homophily,seed,outside", [(1.0, 2, lambda b: b > 1.0),
+                                                     (0.02, 4, lambda b: b < 0.0)],
+                         ids=["above-one", "below-zero"])
+def test_calibrated_beta_is_a_measurement_not_range_checked(homophily, seed, outside):
+    # beta_hat estimates the homophily level; near 0 or 1 sampling puts it
+    # slightly outside [0,1], and that must not raise
+    spec = SyntheticSpec(300, 4, [ModalitySpec("text", 16, 1.0, 2.0)],
+                         homophily=homophily, mean_degree=4, seed=seed)
+    beta, sigma = calibrate(generate(spec), "text")
+    assert outside(beta) and abs(beta - homophily) < 0.05 and sigma > 0
 
 
 def test_measure_errors(tiny_mag):
     with pytest.raises(ContractError):
-        measure_neighborhood_noise(tiny_mag, "text", 0.5)   # no stored signals
+        calibrate(tiny_mag, "text")                      # no stored signals
     spec = SyntheticSpec(50, 2, [ModalitySpec("text", 4)], seed=0)
     mag = generate(spec)
     with pytest.raises(ContractError):
-        measure_neighborhood_noise(mag, "nope", 0.5)
-    with pytest.raises(ContractError):
-        measure_neighborhood_noise(mag, "text", 1.5)
+        calibrate(mag, "nope")
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +602,26 @@ def test_inflated_num_nodes_fails_before_any_array_is_sized(tmp_path):
     _edit_meta(d, lambda m: m.update(num_nodes=10**15))
     os.remove(os.path.join(d, "edges.csv"))
     with pytest.raises(DatasetError, match="num_nodes is 1000000000000000 but there are 3 labels"):
+        load(d)
+
+
+def test_num_classes_above_num_nodes_is_dataset_error(tmp_path):
+    # without a signals sidecar nothing else bounds num_classes, and every
+    # model sizes its heads by it (10**15 classes asked numpy for petabytes)
+    d = str(tmp_path / "ds")
+    save(three_node_mag(), d)
+    _edit_meta(d, lambda m: m.update(num_classes=10**15))
+    with pytest.raises(DatasetError, match="num_classes 1000000000000000 exceeds num_nodes 3"):
+        load(d)
+
+
+@pytest.mark.parametrize("name", ["meta.json", "edges.csv", "signals_text.f32"])
+def test_directory_in_place_of_a_dataset_file_is_dataset_error(small_mag, tmp_path, name):
+    d = str(tmp_path / "ds")
+    save(small_mag, d)
+    os.remove(os.path.join(d, name))
+    os.mkdir(os.path.join(d, name))
+    with pytest.raises(DatasetError, match=f"cannot read .*{name}"):
         load(d)
 
 

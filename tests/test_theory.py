@@ -57,6 +57,17 @@ def test_tau_zero_alignment_is_infinite():
     assert tau(0.5, 0.0, 1.0) == math.inf
 
 
+def test_tau_negative_measured_alignment_is_infinite():
+    # beta_hat = -0.0022 (homophily 0.02): g^2 < alpha^2, so aggregation
+    # lowers the SNR at every encoder noise, while the raw formula is negative
+    alpha, beta, sigma_n_sq = 0.5, -0.0022, 1.1453
+    assert tau(alpha, beta, sigma_n_sq) == math.inf
+    for eps_sq in (1e-9, 1.0, 100.0):
+        p_post = (alpha + (1 - alpha) * beta) ** 2 / (alpha ** 2 * eps_sq
+                                                      + (1 - alpha) ** 2 * sigma_n_sq)
+        assert p_post < 1.0 / eps_sq
+
+
 def test_tau_validation():
     with pytest.raises(ContractError):
         tau(0.0, 0.5, 1.0)
@@ -141,28 +152,22 @@ def test_mc_error_shrinks_with_samples():
 # ---------------------------------------------------------------------------
 
 def test_bound_zero_residual_is_zero():
-    assert starvation_bound("bypass", 0.0, 5.0, 2.0) == 0.0
+    assert starvation_bound(0.0, 5.0, 2.0, 0.5, 0) == 0.0
 
 
 def test_bound_gnn_hand_value():
     # alpha=0.5, L=3 gives eta=1/8; |r|=1, ||w||=1, ||dh/df||=2 -> 0.25
-    assert starvation_bound("gnn", 1.0, 1.0, 2.0, alpha=0.5, num_layers=3) == \
-        pytest.approx(0.25)
+    assert starvation_bound(1.0, 1.0, 2.0, 0.5, 3) == pytest.approx(0.25)
 
 
 def test_bound_bypass_ignores_depth():
-    a = starvation_bound("bypass", 0.5, 2.0, 3.0)
-    b = starvation_bound("bypass", 0.5, 2.0, 3.0, alpha=0.1, num_layers=9)
-    assert a == b == 3.0
+    # L = 0 is the bypass: eta = alpha^0 = 1 whatever alpha is
+    assert {starvation_bound(0.5, 2.0, 3.0, alpha, 0) for alpha in (0.0, 0.1, 0.9)} == {3.0}
 
 
 def test_bound_errors():
     with pytest.raises(ContractError):
-        starvation_bound("attention", 1.0, 1.0, 1.0)
-    with pytest.raises(ContractError):
-        starvation_bound("gnn", 1.0, 1.0, 1.0)
-    with pytest.raises(ContractError):
-        starvation_bound("gnn", 1.0, 1.0, 1.0, alpha=0.5, num_layers=0)
+        starvation_bound(1.0, 1.0, 1.0, 0.5, -1)
 
 
 # ---------------------------------------------------------------------------

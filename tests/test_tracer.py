@@ -1,0 +1,49 @@
+"""The benchmark's span tracer (perfbench/tracer.py) rebinds magsim's public
+functions and a fixed list of class methods by name.  A package change that
+renames or deletes one of those names breaks `perfbench/run.py --trace 1`;
+this test installs the tracer against the package and checks that
+uninstalling it restores every binding it touched."""
+
+import importlib
+import sys
+from pathlib import Path
+
+# loaded before the snapshot: every module the tracer patches
+from magsim import aggregation, cli, experiments, graph, models, supra, tensor  # noqa: F401
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _bindings() -> dict:
+    """Every attribute of every loaded magsim module and of every class
+    defined in magsim, keyed by (module, attribute[, class attribute])."""
+    snap = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "magsim" or mod_name.startswith("magsim.")):
+            continue
+        for attr, value in vars(mod).items():
+            snap[(mod_name, attr)] = value
+            if isinstance(value, type) and value.__module__.startswith("magsim"):
+                for cls_attr, cls_value in vars(value).items():
+                    snap[(mod_name, attr, cls_attr)] = cls_value
+    return snap
+
+
+def test_tracer_installs_on_the_package_and_uninstall_restores_it(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    before = _bindings()
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        rebound = list(traced._undo)
+        assert rebound
+        for owner, attr, original in rebound:
+            assert getattr(owner, attr) is not original, (owner, attr)
+    finally:
+        traced.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+    for owner, attr, original in rebound:
+        assert vars(owner)[attr] is original, (owner, attr)
