@@ -235,18 +235,16 @@ def sweep_noise(mag: Mag, scales, kinds, seeds, base_cfg: TrainConfig,
     scales, kinds, seeds = list(scales), list(kinds), list(seeds)
     if not scales or not kinds:
         raise ContractError("need at least one scale and one model kind")
-    cells = [(mag, scale, kind, seed, base_cfg)
-             for scale in scales for kind in kinds for seed in seeds]
-    rows = list(pool_map(sweep_cell, cells))
-
-    annotation = {"modalities": {}}
+    annotation = {"modalities": {}}         # first, so a graph it rejects trains nothing
     if mag.signals is not None:
         for name in mag.features:
             beta_hat, sigma_n = calibrate(mag, name)
             annotation["modalities"][name] = {
                 "beta_hat": beta_hat, "sigma_n_sq_hat": sigma_n,
                 "tau": tau(base_cfg.alpha, beta_hat, sigma_n)}
-    return rows, annotation
+    cells = [(mag, scale, kind, seed, base_cfg)
+             for scale in scales for kind in kinds for seed in seeds]
+    return list(pool_map(sweep_cell, cells)), annotation
 
 
 def track_gradients(mag: Mag, variants, num_epochs: int, base_seed: int,

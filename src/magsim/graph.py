@@ -161,6 +161,8 @@ class Mag:
 
     def __post_init__(self):
         n, c = self.num_nodes, self.num_classes
+        if c > n:               # a model sizes its heads by num_classes
+            raise ShapeError(f"num_classes {c} exceeds num_nodes {n}")
         if self.labels.shape != (n,):
             raise ShapeError(f"labels shape {self.labels.shape} != ({n},)")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= c):
@@ -216,6 +218,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if not 0.0 < self.homophily <= 1.0:
             raise ContractError(f"homophily must be in (0,1], got {self.homophily}")
+        if self.num_classes > self.num_nodes:   # every class must get a node
+            raise ContractError(f"num_classes {self.num_classes} exceeds num_nodes {self.num_nodes}")
         if self.mean_degree < 1:
             raise ContractError(f"mean_degree must be >= 1, got {self.mean_degree}")
         for m in self.modalities:
@@ -321,6 +325,8 @@ def calibrate(mag: Mag, modality: str) -> tuple:
     if modality not in mag.features:
         raise ContractError(f"unknown modality {modality!r}")
     active = mag.adjacency.degrees > 0
+    if not active.any():
+        raise ContractError("calibration needs at least one non-isolated node")
     xbar = (mag.adjacency.row_normalize().scipy() @ mag.features[modality])[active]
     sig = mag.signals[modality][mag.labels[active]]
     beta = float(np.mean(np.sum(xbar * sig, axis=1) / np.sum(sig ** 2, axis=1)))
@@ -457,8 +463,6 @@ def load(directory: str) -> Mag:
         raise DatasetError(f"{meta_path}: bad or missing field ({type(exc).__name__}: {exc})")
     if labels.size != n:        # before num_nodes sizes any array
         raise DatasetError(f"{meta_path}: num_nodes is {n} but there are {labels.size} labels")
-    if c > n:                   # before a model sizes its heads by num_classes
-        raise DatasetError(f"{meta_path}: num_classes {c} exceeds num_nodes {n}")
 
     edges_path = os.path.join(directory, "edges.csv")
     pairs = _read_edges(edges_path)

@@ -56,16 +56,17 @@ def snr_post(p: SnrParams) -> float:
 
 def tau(alpha: float, beta: float, sigma_n_sq: float) -> float:
     """Critical encoder-noise threshold below which aggregation strictly
-    lowers the SNR.  beta <= 0 (a measured beta_hat can dip below 0)
-    returns infinity: with no alignment at all, aggregation degrades for
-    every noise level."""
+    lowers the SNR.  When g = alpha + (1-alpha) beta has g^2 <= alpha^2
+    (beta = 0, or a measured beta_hat slightly below 0) it returns
+    infinity: aggregation then degrades at every noise level."""
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must be in (0,1), got {alpha}")
     if sigma_n_sq < 0:
         raise ContractError(f"sigma_n_sq must be >= 0, got {sigma_n_sq}")
-    if beta <= 0:
+    den = beta * (2.0 * alpha + (1.0 - alpha) * beta)     # (g^2 - alpha^2) / (1-alpha)
+    if den <= 0:
         return math.inf
-    return (1.0 - alpha) * sigma_n_sq / (beta * (2.0 * alpha + (1.0 - alpha) * beta))
+    return (1.0 - alpha) * sigma_n_sq / den
 
 
 def crossover(p: SnrParams) -> dict:

@@ -253,6 +253,28 @@ def test_gen_and_sweep_accept_a_calibrated_beta_above_one(tmp_path, capsys):
     assert manifest["annotation"]["modalities"]["text"]["beta_hat"] > 1.0
 
 
+def test_sweep_on_a_graph_without_edges_exits_2(tmp_path, config_path, dataset_dir, capsys):
+    # with every node isolated calibration has nothing to measure; it must
+    # fail before any cell trains, not print beta_hat=nan
+    open(os.path.join(dataset_dir, "edges.csv"), "w").close()
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep-noise", "--config", config_path, "--data", dataset_dir,
+                 "--out", out, "--scales", "0"]) == 2
+    assert "at least one non-isolated node" in capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")
+
+
+def test_gen_rejects_more_classes_than_nodes(tmp_path, capsys):
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["synthetic"].update(num_nodes=10, num_classes=12,
+                            modalities=[{"name": "text", "dim": 12}])
+    path, out = tmp_path / "c.json", str(tmp_path / "c")
+    path.write_text(json.dumps(doc))
+    assert main(["gen", "--config", str(path), "--out", out]) == 2
+    assert "num_classes 12 exceeds num_nodes 10" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_gen_byte_reproducible(tmp_path, config_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["gen", "--config", config_path, "--out", a]) == 0

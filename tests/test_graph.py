@@ -177,6 +177,10 @@ def test_mag_validation():
         Mag(3, 2, mag.modalities, mag.features, mag.labels,
             {"train": np.array([0, 1]), "val": np.array([1]),
              "test": np.array([2])}, mag.adjacency)
+    with pytest.raises(ShapeError, match="num_classes 4 exceeds num_nodes 3"):
+        Mag(3, 4, mag.modalities, mag.features, mag.labels, mag.splits, mag.adjacency)
+    with pytest.raises(ContractError, match="num_classes 12 exceeds num_nodes 10"):
+        SyntheticSpec(10, 12, [ModalitySpec("t", 12)], homophily=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +220,16 @@ def _reference_calibration(mag, modality):
 
 
 def test_neighborhood_noise_beta_zero_second_moment():
+    # sigma_n^2 hat is the beta = 0 second moment E||xbar||^2 less the part
+    # the alignment explains: - 2 beta_hat E<xbar,s> + beta_hat^2 E||s||^2
     spec = SyntheticSpec(300, 3, [ModalitySpec("text", 8, 1.0, 0.5)],
                          homophily=0.6, seed=6)
     mag = generate(spec)
-    assert calibrate(mag, "text") == _reference_calibration(mag, "text")   # bit for bit
+    xbar, sig, beta = _reference_alignment(mag, "text")
+    second_moment = float(np.mean(np.sum(xbar ** 2, axis=1)))
+    expected = (second_moment - 2 * beta * float(np.mean(np.sum(xbar * sig, axis=1)))
+                + beta ** 2 * float(np.mean(np.sum(sig ** 2, axis=1))))
+    assert calibrate(mag, "text")[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_calibration_is_one_product_with_both_estimates(census_mag, monkeypatch):
@@ -261,6 +271,17 @@ def test_calibrated_beta_is_a_measurement_not_range_checked(homophily, seed, out
                          homophily=homophily, mean_degree=4, seed=seed)
     beta, sigma = calibrate(generate(spec), "text")
     assert outside(beta) and abs(beta - homophily) < 0.05 and sigma > 0
+
+
+def test_calibration_rejects_a_graph_without_edges(small_mag):
+    # with every node isolated there is no neighborhood mean to measure
+    empty = CsrMatrix.from_undirected_edges(np.zeros((0, 2), dtype=np.int64),
+                                            small_mag.num_nodes)
+    mag = Mag(small_mag.num_nodes, small_mag.num_classes, small_mag.modalities,
+              small_mag.features, small_mag.labels, small_mag.splits, empty,
+              small_mag.signals)
+    with pytest.raises(ContractError, match="at least one non-isolated node"):
+        calibrate(mag, "text")
 
 
 def test_measure_errors(tiny_mag):

@@ -68,6 +68,17 @@ def test_tau_negative_measured_alignment_is_infinite():
         assert p_post < 1.0 / eps_sq
 
 
+def test_tau_negative_beta_with_g_above_alpha_is_finite():
+    # alpha = 0.1, beta = -0.5: g = -0.35 and g^2 > alpha^2, so aggregation
+    # lowers the SNR only below 0.9 n / (-0.5 * -0.25) = 7.2 n
+    alpha, beta, sigma_n_sq = 0.1, -0.5, 1.0
+    assert tau(alpha, beta, sigma_n_sq) == pytest.approx(7.2)
+    for eps_sq, degraded in ((7.0, True), (7.4, False)):
+        p_post = (alpha + (1 - alpha) * beta) ** 2 / (alpha ** 2 * eps_sq
+                                                      + (1 - alpha) ** 2 * sigma_n_sq)
+        assert (p_post < 1.0 / eps_sq) is degraded
+
+
 def test_tau_validation():
     with pytest.raises(ContractError):
         tau(0.0, 0.5, 1.0)
