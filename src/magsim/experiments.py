@@ -9,6 +9,7 @@ of the cell coordinates.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -154,6 +155,30 @@ def macro_f1(preds, labels, num_classes: int) -> float:
     return float(np.mean(scores)) if scores else 0.0
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameters
+
+
+def _keep_freed_memory():
+    """Keep the memory a training epoch frees in the C heap for the next one.
+
+    Each epoch frees and re-allocates the same activation and gradient
+    arrays.  By default glibc serves arrays above 128 KiB from mmap, or
+    trims them off the top of its heap once freed, so every epoch
+    page-faults its whole working set back in.  Serving arrays up to
+    32 MiB (glibc's own 64-bit ceiling for its dynamic mmap threshold) from
+    the heap and trimming only above 256 MiB keeps them resident until the
+    process exits.  Values are unchanged; a C library without ``mallopt``
+    is left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def train(mag: Mag, cfg: TrainConfig, return_model: bool = False):
     """Full-batch training with early stopping on validation accuracy.
 
@@ -161,6 +186,7 @@ def train(mag: Mag, cfg: TrainConfig, return_model: bool = False):
     not the last one.
     """
     t0 = time.perf_counter()
+    _keep_freed_memory()
     rng_init = np.random.default_rng(derive_seed(cfg.seed, "init"))
     rng_drop = np.random.default_rng(derive_seed(cfg.seed, "dropout"))
     model = build_model(cfg, mag, rng_init)

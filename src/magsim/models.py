@@ -32,8 +32,12 @@ class Model:
         self.params[f"{name}.b"] = np.zeros((1, d_out))
 
     def wrap(self, tape):
-        self._taped = {k: T.Tensor(v, tape) for k, v in self.params.items()}
-        return self._taped
+        """Parameters as tensors on ``tape``; ``grads`` reads the last taped
+        set, so an untaped (eval) forward leaves it in place."""
+        wrapped = {k: T.Tensor(v, tape) for k, v in self.params.items()}
+        if tape is not None:
+            self._taped = wrapped
+        return wrapped
 
     def grads(self) -> dict:
         if self._taped is None:

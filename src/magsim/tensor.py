@@ -154,7 +154,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
+    mask = x.data > 0.0 if x.tape is not None else None   # read only by backward
     return _op(np.maximum(x.data, 0.0), (x,), (lambda g: g * mask,))
 
 
@@ -216,7 +216,13 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         return x
     keep = 1.0 - rate
     kept = rng.random(x.data.shape) < keep   # bool; backward rebuilds kept / keep
-    return _op(x.data * (kept / keep), (x,), (lambda g: g * (kept / keep),))
+
+    def scaled(a):
+        s = kept / keep
+        s *= a
+        return s
+
+    return _op(scaled(x.data), (x,), (scaled,))
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -1,6 +1,7 @@
 """Shared fixtures: small synthetic graphs and a hand-built 3-node one."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ def isolated_node_mag(seed=5):
     mag = dataclasses.replace(mag, adjacency=CsrMatrix.from_undirected_edges(pairs, 40))
     assert mag.adjacency.degrees[0] == 0 and mag.adjacency.nnz > 0
     return mag
+
+
+def src_env() -> dict:
+    """This process's environment with the checkout's ``src/`` first on
+    PYTHONPATH, for child interpreters that import magsim."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def randomize_params(model, seed=0):

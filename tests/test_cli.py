@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from conftest import src_env
 from magsim.cli import main
 from magsim.graph import calibrate, load
 from magsim.theory import tau
@@ -75,11 +76,8 @@ def test_installed_entry_point():
 
 def run_module(*argv):
     """``python -m magsim ARGV`` with this checkout's package on the path."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-m", "magsim", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -1,16 +1,21 @@
 """Training loop, metrics, diagnostic protocols, and result serialization."""
 
 import json
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
 import magsim
+from conftest import src_env
+from magsim import experiments
 from magsim import tensor as T
 from magsim.errors import ContractError
 from magsim.experiments import (CSV_SCHEMAS, MODEL_KINDS, TrainConfig, _fmt,
                                 accuracy, build_model, corruption_probe,
-                                derive_seed, macro_f1,
+                                derive_seed, macro_f1, predict,
                                 sweep_noise, track_gradients, train,
                                 write_csv, write_manifest)
 
@@ -186,9 +191,94 @@ def test_every_model_kind_shares_the_loss_path(small_mag):
             assert losses["aux"] == {} and losses["total"] is losses["task"]
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_eval_forward_keeps_the_training_gradients(small_mag, kind):
+    cfg = TrainConfig(kind=kind, hidden=8, lambda_aux=0.5 if kind == "supra" else 0.0)
+    model = build_model(cfg, small_mag, np.random.default_rng(0))
+    norm_adj = small_mag.adjacency.row_normalize()
+    tape = T.Tape()
+    out = model.forward(small_mag, norm_adj, tape, True, np.random.default_rng(1))
+    tape.backward(model.loss(out, small_mag.labels, small_mag.splits["train"])["total"])
+    grads, norms = model.grads(), model.branch_grad_norms()
+    assert grads
+    predict(model, small_mag, norm_adj, small_mag.splits["val"])
+    after = model.grads()
+    assert after.keys() == grads.keys()
+    assert all(after[k] is grads[k] for k in grads)
+    assert model.branch_grad_norms() == norms
+
+
 def test_visual_mlp_needs_second_modality(census_mag):
     with pytest.raises(ContractError):
         train(census_mag, TrainConfig(kind="visual-mlp", max_epochs=1))
+
+
+# ---------------------------------------------------------------------------
+# heap policy
+# ---------------------------------------------------------------------------
+
+# Trains at N = 1,000, so hidden arrays (1000 x 64 float64, 500 KiB) are
+# above glibc's default 128 KiB mmap threshold: once with the policy
+# replaced by a no-op, then with it, in one fresh process.
+_HEAP_POLICY_CHILD = """
+import json
+from magsim import experiments
+from magsim.experiments import TrainConfig, train
+from magsim.graph import ModalitySpec, SyntheticSpec, generate
+
+mag = generate(SyntheticSpec(1000, 4, [ModalitySpec("text", 16, 1.0, 0.2),
+                                       ModalitySpec("visual", 16, 1.0, 0.8)],
+                             homophily=0.8, mean_degree=10, seed=7))
+
+def reports():
+    return [train(mag, TrainConfig(kind=kind, max_epochs=8, patience=8, seed=3,
+                                   lambda_aux=0.7 if kind == "supra" else 0.0))
+            .to_json(include_timing=False) for kind in ("ef-mlp", "gcn-joint", "supra")]
+
+policy = experiments._keep_freed_memory
+experiments._keep_freed_memory = lambda: None
+default_heap = reports()
+experiments._keep_freed_memory = policy
+print(json.dumps({"default": default_heap, "kept": reports()}))
+"""
+
+
+def test_heap_policy_changes_no_bit():
+    out = subprocess.run([sys.executable, "-c", _HEAP_POLICY_CHILD],
+                         capture_output=True, text=True, env=src_env())
+    assert out.returncode == 0, out.stderr
+    runs = json.loads(out.stdout)
+    assert len(runs["kept"]) == 3
+    assert runs["kept"] == runs["default"]
+
+
+def test_heap_policy_sets_glibc_thresholds(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(experiments.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    experiments._keep_freed_memory()
+    # <malloc.h>: M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1
+    assert calls == [(-3, 32 * 2**20), (-1, 256 * 2**20)]
+
+
+@pytest.mark.parametrize("error", [AttributeError, OSError])
+def test_train_runs_without_mallopt(monkeypatch, small_mag, error):
+    def libc_without_mallopt(name):
+        if error is OSError:
+            raise OSError("no C library")
+        return object()
+
+    cfg = TrainConfig(seed=5, **{**FAST_MLP, "max_epochs": 3})
+    expected = train(small_mag, cfg).to_json(include_timing=False)
+    monkeypatch.setattr(experiments.ctypes, "CDLL", libc_without_mallopt)
+    report = train(small_mag, cfg)
+    assert len(report.epochs) == 3
+    assert report.to_json(include_timing=False) == expected
 
 
 # ---------------------------------------------------------------------------
