@@ -18,6 +18,8 @@ from .graph import CsrMatrix
 def mean_aggregate(h: T.Tensor, adj: CsrMatrix, alpha: float) -> T.Tensor:
     """alpha * h + (1-alpha) * neighbor mean; differentiable in h.  At
     alpha = 0 it is the plain neighbor mean, a zero row at isolated nodes.
+    ``adj`` is any square adjacency; its row-normalized copy A_hat sets
+    the mean weights.
 
     One product with the adjacency's cached operator P = alpha*I +
     (1-alpha)*A_hat, recorded as one tape node whose backward is P^T @ g."""

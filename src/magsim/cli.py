@@ -11,10 +11,11 @@ import argparse
 import contextlib
 import json
 import logging
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 from .errors import ConfigError, ContractError, DatasetError, MagsimError
 from .experiments import (NumericError, TrainConfig, corruption_probe,
@@ -28,24 +29,49 @@ log = logging.getLogger("magsim")
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_THEORY = 0, 2, 3, 4, 5
 
-DEFAULT_SCALES = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
-DEFAULT_SWEEP_KINDS = ["ef-mlp", "gcn-joint", "supra"]
-DEFAULT_GRAD_VARIANTS = [
+SWEEP = {"scales": [0.0, 0.25, 0.5, 1.0, 2.0, 4.0], "kinds": ["ef-mlp", "gcn-joint", "supra"],
+         "seeds": [0, 1, 2]}
+GRADS = {"variants": [
     ["indep-agg", {"kind": "indep-agg"}],
     ["supra-synergy-only", {"kind": "supra", "supra_variant": "synergy-only"}],
     ["supra-base", {"kind": "supra", "supra_variant": "base"}],
     ["supra-aux", {"kind": "supra", "supra_variant": "full", "lambda_aux": 0.7}],
-]
-DEFAULT_PROBE_KINDS = [
-    ["supra-base", {"kind": "supra", "supra_variant": "base"}],
-    ["supra-aux", {"kind": "supra", "supra_variant": "full", "lambda_aux": 0.7}],
-]
+], "epochs": 60}
+PROBE = {"kinds": GRADS["variants"][2:], "dominant": None, "seeds": [0, 1, 2]}
+TRAIN = asdict(TrainConfig())
+SYNTHETIC = {"num_nodes": 2000, "num_classes": 4,
+             "modalities": [{"name": "text", "dim": 16}, {"name": "visual", "dim": 16}],
+             **{f.name: f.default for f in fields(SyntheticSpec) if f.default is not MISSING}}
 
 
 def _check_keys(doc: dict, allowed, context: str):
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ConfigError(f"{context}: unknown key {unknown[0]!r}")
+
+
+def _section(doc: dict, name: str, defaults: dict) -> dict:
+    """The config's ``name`` object laid over ``defaults``: it may set no
+    other key, and a value whose default is a list (or tuple) must be a list."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: must be an object, got {section!r:.40}")
+    _check_keys(section, defaults, name)
+    merged = {**defaults, **section}
+    for key, default in defaults.items():
+        if isinstance(default, (list, tuple)) and not isinstance(merged[key], (list, tuple)):
+            raise ConfigError(f"{name}.{key}: must be a list, got {merged[key]!r:.40}")
+    return merged
+
+
+def _check_pairs(pairs: list, context: str):
+    """Each entry a [name, {train overrides}] pair."""
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+                and isinstance(pair[1], dict)):
+            raise ConfigError(f"{context}: expected [name, {{overrides}}] pairs, "
+                              f"got {pair!r:.40}")
+        _check_keys(pair[1], TRAIN, f"{context} {pair[0]!r}")
 
 
 def load_config(path: str | None) -> dict:
@@ -56,8 +82,8 @@ def load_config(path: str | None) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         raise DatasetError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})")
+    except ValueError as exc:               # not JSON, or not UTF-8
+        raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _check_keys(doc, ("synthetic", "train", "sweep", "grads", "probe"), path)
@@ -65,28 +91,21 @@ def load_config(path: str | None) -> dict:
 
 
 def synthetic_spec(doc: dict, seed_override=None) -> SyntheticSpec:
-    section = dict(doc.get("synthetic", {}))
-    _check_keys(section, ("num_nodes", "num_classes", "modalities", "homophily",
-                          "mean_degree", "split_fracs", "seed"), "synthetic")
-    mods = section.pop("modalities", [{"name": "text", "dim": 16},
-                                      {"name": "visual", "dim": 16}])
+    section = _section(doc, "synthetic", SYNTHETIC)
     specs = []
-    for m in mods:
+    for m in section.pop("modalities"):
+        if not isinstance(m, dict) or not {"name", "dim"} <= m.keys():
+            raise ConfigError(f"synthetic.modalities: expected objects with a name and "
+                              f"a dim, got {m!r:.40}")
         _check_keys(m, ("name", "dim", "signal_norm", "noise_var"), "synthetic.modalities")
         specs.append(ModalitySpec(**m))
-    section.setdefault("num_nodes", 2000)
-    section.setdefault("num_classes", 4)
     if seed_override is not None:
         section["seed"] = seed_override
-    if "split_fracs" in section:
-        section["split_fracs"] = tuple(section["split_fracs"])
     return SyntheticSpec(modalities=specs, **section)
 
 
 def train_config(doc: dict, seed_override=None) -> TrainConfig:
-    section = dict(doc.get("train", {}))
-    allowed = [f.name for f in fields(TrainConfig)]
-    _check_keys(section, allowed, "train")
+    section = _section(doc, "train", TRAIN)
     if seed_override is not None:
         section["seed"] = seed_override
     return TrainConfig(**section)
@@ -106,8 +125,7 @@ def _print_dataset_stats(mag, alpha: float):
 
 def cmd_gen(args) -> int:
     doc = load_config(args.config)
-    spec = synthetic_spec(doc, args.seed)
-    mag = generate(spec)
+    mag = generate(synthetic_spec(doc, args.seed))
     save(mag, args.out)
     _print_dataset_stats(mag, train_config(doc).alpha)
     log.info("dataset with %d nodes written to %s", mag.num_nodes, args.out)
@@ -149,11 +167,12 @@ def _pool_map(jobs: int):
 
 def cmd_sweep_noise(args) -> int:
     doc = load_config(args.config)
-    section = dict(doc.get("sweep", {}))
-    _check_keys(section, ("scales", "kinds", "seeds"), "sweep")
-    scales = args.scales if args.scales is not None else section.get("scales", DEFAULT_SCALES)
-    kinds = section.get("kinds", DEFAULT_SWEEP_KINDS)
-    seeds = section.get("seeds", [0, 1, 2])
+    sweep = _section(doc, "sweep", SWEEP)
+    scales = args.scales if args.scales is not None else sweep["scales"]
+    for scale in scales:
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
+            raise ConfigError(f"sweep.scales: {scale!r:.40} is not a number")
+    kinds, seeds = sweep["kinds"], sweep["seeds"]
     cfg = train_config(doc, args.seed)
     mag = _load_data(args.data)
     with _pool_map(args.jobs) as pool_map:
@@ -172,34 +191,31 @@ def cmd_sweep_noise(args) -> int:
 
 def cmd_track_grads(args) -> int:
     doc = load_config(args.config)
-    section = dict(doc.get("grads", {}))
-    _check_keys(section, ("variants", "epochs"), "grads")
-    variants = [(v[0], v[1]) for v in section.get("variants", DEFAULT_GRAD_VARIANTS)]
-    epochs = section.get("epochs", 60)
+    grads = _section(doc, "grads", GRADS)
+    variants, epochs = grads["variants"], grads["epochs"]
+    _check_pairs(variants, "grads.variants")
     cfg = train_config(doc, args.seed)
     mag = _load_data(args.data)
     rows = track_gradients(mag, variants, epochs, cfg.seed, cfg)
     write_csv(args.out, "grads", rows)
     write_manifest(args.out + ".manifest.json", asdict(cfg), cfg.seed,
-                   {"variants": [list(v) for v in variants], "epochs": epochs})
+                   {"variants": variants, "epochs": epochs})
     print(f"{len(rows)} rows -> {args.out}")
     return EXIT_OK
 
 
 def cmd_corrupt(args) -> int:
     doc = load_config(args.config)
-    section = dict(doc.get("probe", {}))
-    _check_keys(section, ("kinds", "dominant", "seeds"), "probe")
-    kinds = [(k[0], k[1]) for k in section.get("kinds", DEFAULT_PROBE_KINDS)]
-    seeds = section.get("seeds", [0, 1, 2])
+    probe = _section(doc, "probe", PROBE)
+    kinds, seeds = probe["kinds"], probe["seeds"]
+    _check_pairs(kinds, "probe.kinds")
     cfg = train_config(doc, args.seed)
     mag = _load_data(args.data)
-    dominant = section.get("dominant", mag.modality_names()[0])
+    dominant = mag.modality_names()[0] if probe["dominant"] is None else probe["dominant"]
     rows = corruption_probe(mag, kinds, dominant, seeds, cfg)
     write_csv(args.out, "probe", rows)
     write_manifest(args.out + ".manifest.json", asdict(cfg), cfg.seed,
-                   {"kinds": [list(k) for k in kinds], "dominant": dominant,
-                    "seeds": seeds})
+                   {"kinds": kinds, "dominant": dominant, "seeds": seeds})
     for row in rows:
         print(f"{row['kind']} seed={row['seed']} F={row['F']:.4f} "
               f"D={row['D']:.4f} H={row['H']:.4f}")
@@ -210,8 +226,7 @@ def cmd_theory(args) -> int:
     passed = 0
     for name, check in ALL_CHECKS:
         ok, detail = check()
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         passed += ok
     print(f"{passed}/{len(ALL_CHECKS)} properties PASS")
     return EXIT_OK if passed == len(ALL_CHECKS) else EXIT_THEORY
@@ -224,40 +239,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "diagnostic sweeps, and closed-form theory validation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, out=False, out_required=False):
+    def command(name, fn, summary, data=True, out_required=True):
+        """A subcommand with --config, --seed, --out and (unless ``data`` is
+        false) --data."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--seed", type=int, help="base seed override")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for independent sweep cells")
         if data:
             p.add_argument("--data", help="dataset directory")
-        if out:
-            p.add_argument("--out", required=out_required, help="output path")
+        p.add_argument("--out", required=out_required, help="output path")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
-    common(p, out=True, out_required=True)
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("train", help="train one model and report metrics")
-    common(p, data=True, out=True)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("sweep-noise", help="noise-injection crossover sweep")
-    common(p, data=True, out=True, out_required=True)
+    command("gen", cmd_gen, "generate a synthetic dataset", data=False)
+    command("train", cmd_train, "train one model and report metrics", out_required=False)
+    p = command("sweep-noise", cmd_sweep_noise, "noise-injection crossover sweep")
     p.add_argument("--scales", type=float, nargs="+", help="noise scale grid")
-    p.set_defaults(fn=cmd_sweep_noise)
-
-    p = sub.add_parser("track-grads", help="per-branch gradient norm traces")
-    common(p, data=True, out=True, out_required=True)
-    p.set_defaults(fn=cmd_track_grads)
-
-    p = sub.add_parser("corrupt", help="dominant-modality corruption probe")
-    common(p, data=True, out=True, out_required=True)
-    p.set_defaults(fn=cmd_corrupt)
-
-    p = sub.add_parser("theory", help="run the closed-form property checks")
-    common(p)
-    p.set_defaults(fn=cmd_theory)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers for independent sweep cells")
+    command("track-grads", cmd_track_grads, "per-branch gradient norm traces")
+    command("corrupt", cmd_corrupt, "dominant-modality corruption probe")
+    sub.add_parser("theory", help="run the closed-form property checks").set_defaults(fn=cmd_theory)
     return parser
 
 

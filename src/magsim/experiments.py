@@ -12,16 +12,14 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
-import math
-import numbers
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .errors import ContractError, MagsimError
+from .errors import ContractError, MagsimError, check_number
 from .graph import Mag, calibrate, corrupt_modality, inject_noise
 from .models import IndependentAgg, JointGcn, MlpModel
 from .supra import VARIANTS, SupraModel
@@ -61,16 +59,10 @@ class TrainConfig:
         if self.kind not in MODEL_KINDS:
             raise ContractError(f"unknown model kind {self.kind!r}")
         v = vars(self)
-        for name in ("patience", "hidden", "num_layers", "max_epochs"):
-            if isinstance(v[name], bool) or not isinstance(v[name], numbers.Integral) \
-                    or v[name] < 1:
-                raise ContractError(f"{name} must be an integer >= 1, got {v[name]!r}")
-        for name in ("lr", "weight_decay", "lambda_aux"):
-            if not math.isfinite(v[name]):
-                raise ContractError(f"{name} must be finite, got {v[name]}")
-        for name in ("lr", "lambda_aux"):
-            if v[name] < 0:
-                raise ContractError(f"{name} must be >= 0, got {v[name]}")
+        for name in ("patience", "hidden", "num_layers", "max_epochs", "seed"):
+            check_number(name, v[name], integer=True, low=0 if name == "seed" else 1)
+        for name in ("lr", "lambda_aux", "weight_decay", "alpha", "dropout", "smoothing"):
+            check_number(name, v[name], low=0 if name in ("lr", "lambda_aux") else None)
         for name in ("dropout", "smoothing"):
             if not 0.0 <= v[name] < 1.0:
                 raise ContractError(f"{name} must be in [0,1), got {v[name]}")
@@ -99,32 +91,22 @@ class TrainReport:
 
 def build_model(cfg: TrainConfig, mag: Mag, rng):
     names = mag.modality_names()
-    kind, s = cfg.kind, cfg.smoothing
-    if kind == "text-mlp":
-        return MlpModel(rng, mag, names[:1], cfg.hidden, cfg.dropout, s)
-    if kind == "visual-mlp":
-        if len(names) < 2:
-            raise ContractError("visual-mlp needs a second modality")
-        return MlpModel(rng, mag, names[1:2], cfg.hidden, cfg.dropout, s)
-    if kind == "ef-mlp":
-        return MlpModel(rng, mag, names, cfg.hidden, cfg.dropout, s)
-    if kind == "gcn-joint":
-        return JointGcn(rng, mag, cfg.hidden, cfg.num_layers, cfg.alpha,
-                        cfg.dropout, s)
-    if kind == "sage-concat":
-        return JointGcn(rng, mag, cfg.hidden, cfg.num_layers, cfg.alpha,
-                        cfg.dropout, s, variant="ego-concat")
-    if kind == "indep-agg":
-        return IndependentAgg(rng, mag, cfg.hidden, cfg.num_layers, cfg.alpha,
-                              cfg.dropout, s)
-    if kind == "supra":
+    if cfg.kind == "visual-mlp" and len(names) < 2:
+        raise ContractError("visual-mlp needs a second modality")
+    mlp_inputs = {"text-mlp": names[:1], "visual-mlp": names[1:2], "ef-mlp": names}
+    if cfg.kind in mlp_inputs:
+        return MlpModel(rng, mag, mlp_inputs[cfg.kind], cfg.hidden, cfg.dropout, cfg.smoothing)
+    if cfg.kind == "supra":
         return SupraModel(rng, mag, cfg.hidden, cfg.num_layers, cfg.alpha, cfg.dropout,
-                          s, cfg.lambda_aux, cfg.supra_variant)
-    raise ContractError(f"unknown model kind {kind!r}")
+                          cfg.smoothing, cfg.lambda_aux, cfg.supra_variant)
+    gnn = (rng, mag, cfg.hidden, cfg.num_layers, cfg.alpha, cfg.dropout, cfg.smoothing)
+    if cfg.kind == "indep-agg":
+        return IndependentAgg(*gnn)
+    return JointGcn(*gnn, variant="ego-concat" if cfg.kind == "sage-concat" else "mean-mix")
 
 
-def predict(model, mag: Mag, norm_adj, rows) -> np.ndarray:
-    out = model.forward(mag, norm_adj, None, training=False, rng=None)
+def predict(model, mag: Mag, rows) -> np.ndarray:
+    out = model.forward(mag)
     return np.argmax(out["logits"].data[rows], axis=1)
 
 
@@ -190,7 +172,6 @@ def train(mag: Mag, cfg: TrainConfig, return_model: bool = False):
     rng_init = np.random.default_rng(derive_seed(cfg.seed, "init"))
     rng_drop = np.random.default_rng(derive_seed(cfg.seed, "dropout"))
     model = build_model(cfg, mag, rng_init)
-    norm_adj = mag.adjacency.row_normalize()
     state = T.AdamState()
 
     train_idx = mag.splits["train"]
@@ -199,7 +180,7 @@ def train(mag: Mag, cfg: TrainConfig, return_model: bool = False):
 
     for epoch in range(1, cfg.max_epochs + 1):
         tape = T.Tape()
-        out = model.forward(mag, norm_adj, tape, training=True, rng=rng_drop)
+        out = model.forward(mag, tape=tape, rng=rng_drop)
         losses = model.loss(out, mag.labels, train_idx)
         row = {"epoch": epoch, "loss_total": float(losses["total"].data[0, 0]),
                "loss_task": float(losses["task"].data[0, 0]),
@@ -211,7 +192,7 @@ def train(mag: Mag, cfg: TrainConfig, return_model: bool = False):
         branch_norms = model.branch_grad_norms()
         T.adam_step(model.params, model.grads(), state, cfg.lr, cfg.weight_decay)
 
-        val_acc = accuracy(predict(model, mag, norm_adj, mag.splits["val"]),
+        val_acc = accuracy(predict(model, mag, mag.splits["val"]),
                            mag.labels[mag.splits["val"]])
         epochs.append({**row, "val_acc": val_acc, "grad_norms": branch_norms})
         if val_acc > best_val:
@@ -222,7 +203,7 @@ def train(mag: Mag, cfg: TrainConfig, return_model: bool = False):
 
     model.load_state(best_state)
     test_idx = mag.splits["test"]
-    preds = predict(model, mag, norm_adj, test_idx)
+    preds = predict(model, mag, test_idx)
     report = TrainReport(
         config=asdict(cfg), epochs=epochs, best_epoch=best_epoch,
         test_acc=accuracy(preds, mag.labels[test_idx]),
@@ -274,15 +255,14 @@ def sweep_noise(mag: Mag, scales, kinds, seeds, base_cfg: TrainConfig,
 
 
 def track_gradients(mag: Mag, variants, num_epochs: int, base_seed: int,
-                    base_cfg: TrainConfig | None = None):
+                    base_cfg: TrainConfig):
     """Per-epoch per-branch gradient L2 norms for a set of named model
     configurations, trained for a fixed number of epochs."""
     if len(mag.modalities) < 2:
         raise ContractError("gradient tracking needs at least two modalities")
-    base = base_cfg or TrainConfig()
     rows = []
     for name, overrides in variants:
-        cfg = TrainConfig(**{**asdict(base), **overrides,
+        cfg = TrainConfig(**{**asdict(base_cfg), **overrides,
                              "max_epochs": num_epochs, "patience": num_epochs,
                              "seed": derive_seed(base_seed, "track", name)})
         report = train(mag, cfg)
@@ -302,9 +282,8 @@ def corruption_probe(mag: Mag, kinds, dominant: str, seeds,
     All kinds under the same probe seed share one derived training seed,
     so variants are compared from identical initializations and the D
     differences are not dominated by init variance."""
-    if dominant not in mag.features:
+    if dominant not in mag.modality_names():     # a list: an unhashable name is unknown too
         raise ContractError(f"unknown modality {dominant!r}")
-    norm_adj = mag.adjacency.row_normalize()
     test_idx = mag.splits["test"]
     y_test = mag.labels[test_idx]
     rows = []
@@ -315,10 +294,8 @@ def corruption_probe(mag: Mag, kinds, dominant: str, seeds,
             report, model = train(mag, cfg, return_model=True)
             corrupted = corrupt_modality(mag, dominant,
                                          derive_seed(base_cfg.seed, "corrupt", seed))
-            f_score = macro_f1(predict(model, mag, norm_adj, test_idx),
-                               y_test, mag.num_classes)
-            d_score = macro_f1(predict(model, corrupted, norm_adj, test_idx),
-                               y_test, mag.num_classes)
+            f_score = macro_f1(predict(model, mag, test_idx), y_test, mag.num_classes)
+            d_score = macro_f1(predict(model, corrupted, test_idx), y_test, mag.num_classes)
             h = 0.0 if f_score + d_score == 0 else 2 * f_score * d_score / (f_score + d_score)
             rows.append({"kind": kind_name, "seed": seed,
                          "F": f_score, "D": d_score, "H": h})
@@ -348,10 +325,8 @@ def write_csv(path: str, schema: str, rows):
             fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
 
-def write_manifest(path: str, config: dict, seed: int, extra: dict | None = None):
-    doc = {"config": config, "seed": seed, "version": __version__}
-    if extra:
-        doc.update(extra)
+def write_manifest(path: str, config: dict, seed: int, extra: dict):
+    doc = {"config": config, "seed": seed, "version": __version__, **extra}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")

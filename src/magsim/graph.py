@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, DatasetError, ShapeError
+from .errors import ContractError, DatasetError, ShapeError, check_number
 
 
 def _f32_grid(x: np.ndarray) -> np.ndarray:
@@ -103,7 +103,10 @@ class CsrMatrix:
         return cls(num_nodes, num_nodes, offsets, dst, np.ones(dst.shape[0]))
 
     def row_normalize(self) -> "CsrMatrix":
-        """Cached copy with each nonempty row divided by its sum (mean weights)."""
+        """Cached copy with each nonempty row divided by its sum (mean
+        weights); a normalized matrix is its own."""
+        if self.normalized:
+            return self
         if self._norm is None:
             row_ids = np.repeat(np.arange(self.num_rows), self.degrees)
             sums = np.bincount(row_ids, self.values, minlength=self.num_rows)
@@ -119,16 +122,15 @@ class CsrMatrix:
         return self._sp
 
     def mix_operator(self, alpha: float):
-        """Cached CSR pair (P, P^T) with P = alpha*I + (1-alpha)*A: one
-        mean-mix aggregation step is the single product P @ h."""
-        if not self.normalized:
-            raise ContractError("mean aggregation needs a row-normalized adjacency")
+        """Cached CSR pair (P, P^T) with P = alpha*I + (1-alpha)*A_hat, A_hat
+        this matrix row-normalized: one mean-mix aggregation step is the
+        single product P @ h."""
         if self.num_rows != self.num_cols:
             raise ShapeError(f"mean aggregation needs a square adjacency, "
                              f"got {self.num_rows}x{self.num_cols}")
         if alpha not in self._mix:
             p = (alpha * sp.identity(self.num_rows, format="csr")
-                 + (1.0 - alpha) * self.scipy()).tocsr()
+                 + (1.0 - alpha) * self.row_normalize().scipy()).tocsr()
             self._mix[alpha] = (p, p.T.tocsr())
         return self._mix[alpha]
 
@@ -216,25 +218,27 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_nodes", "num_classes", "seed"):
+            check_number(name, getattr(self, name), integer=True, low=0 if name == "seed" else 1)
+        check_number("homophily", self.homophily)
         if not 0.0 < self.homophily <= 1.0:
             raise ContractError(f"homophily must be in (0,1], got {self.homophily}")
         if self.num_classes > self.num_nodes:   # every class must get a node
             raise ContractError(f"num_classes {self.num_classes} exceeds num_nodes {self.num_nodes}")
-        if self.mean_degree < 1:
-            raise ContractError(f"mean_degree must be >= 1, got {self.mean_degree}")
+        check_number("mean_degree", self.mean_degree, low=1)
         for m in self.modalities:
-            if not (np.isfinite(m.noise_var) and m.noise_var >= 0):
-                raise ContractError(f"modality {m.name}: noise_var must be finite "
-                                    f"and >= 0, got {m.noise_var}")
-            if not np.isfinite(m.signal_norm):
-                raise ContractError(f"modality {m.name}: signal_norm must be finite, "
-                                    f"got {m.signal_norm}")
-            if m.dim < self.num_classes:
-                raise ContractError(
-                    f"modality {m.name}: dim {m.dim} < num_classes "
-                    f"{self.num_classes} (orthogonal class signals need d >= C)")
+            if not isinstance(m.name, str):
+                raise ContractError(f"modality name must be a string, got {m.name!r:.40}")
+            check_number(f"modality {m.name}: noise_var", m.noise_var, low=0)
+            check_number(f"modality {m.name}: signal_norm", m.signal_norm)
+            # one orthogonal class signal per class needs d >= C
+            check_number(f"modality {m.name}: dim", m.dim, integer=True, low=self.num_classes)
+        if not isinstance(self.split_fracs, (tuple, list)) or len(self.split_fracs) != 3:
+            raise ContractError(f"split_fracs must be three numbers, got {self.split_fracs!r:.40}")
+        for f in self.split_fracs:
+            check_number("split_fracs", f)
         if any(f <= 0 for f in self.split_fracs) or sum(self.split_fracs) > 1.0 + 1e-9:
-            raise ContractError(f"bad split fractions {self.split_fracs}")
+            raise ContractError(f"split_fracs must be > 0 with sum <= 1, got {self.split_fracs}")
 
 
 def _orthogonal_signals(rng, dim, num_classes, norm):

@@ -12,7 +12,7 @@ import numpy as np
 from . import tensor as T
 from .aggregation import GnnStack
 from .errors import ContractError, TapeError
-from .graph import CsrMatrix, Mag
+from .graph import Mag
 
 
 def _he(rng, fan_in, shape):
@@ -22,9 +22,9 @@ def _he(rng, fan_in, shape):
 class Model:
     """Common parameter bookkeeping for all trainable models."""
 
-    def __init__(self, smoothing: float):
+    def __init__(self, dropout: float, smoothing: float):
         self.params: dict[str, np.ndarray] = {}
-        self.smoothing = smoothing
+        self.dropout, self.smoothing = dropout, smoothing
         self._taped = None
 
     def add_linear(self, rng, name, d_in, d_out):
@@ -74,7 +74,8 @@ class Model:
         for k in self.params:
             self.params[k][...] = state[k]
 
-    # subclasses implement forward(mag, norm_adj, tape, training, rng) -> dict
+    # subclasses implement forward(mag, tape=None, rng=None) -> dict: the
+    # graph comes from mag, and dropout runs exactly when an rng is given
 
 
 def _linear(p, prefix, x):
@@ -90,20 +91,19 @@ class MlpModel(Model):
     """Two-layer perceptron on one modality or on the early-fusion concat."""
 
     def __init__(self, rng, mag: Mag, modality_names, hidden, dropout, smoothing):
-        super().__init__(smoothing)
+        super().__init__(dropout, smoothing)
         self.modality_names = list(modality_names)
-        self.dropout = dropout
         d_in = sum(dim for name, dim in mag.modalities if name in self.modality_names)
         if d_in == 0:
             raise ContractError(f"no such modalities: {modality_names}")
         self.add_linear(rng, "fc1", d_in, hidden)
         self.add_linear(rng, "head", hidden, mag.num_classes)
 
-    def forward(self, mag, norm_adj, tape, training, rng):
+    def forward(self, mag, tape=None, rng=None):
         p = self.wrap(tape)
         x = _concat_features(mag, self.modality_names)
         h = T.relu(_linear(p, "fc1", x))
-        h = T.dropout(h, self.dropout, rng, training)
+        h = T.dropout(h, self.dropout, rng)
         return {"logits": _linear(p, "head", h)}
 
 
@@ -115,8 +115,7 @@ class JointGcn(Model):
 
     def __init__(self, rng, mag: Mag, hidden, num_layers, alpha, dropout, smoothing,
                  variant="mean-mix"):
-        super().__init__(smoothing)
-        self.dropout = dropout
+        super().__init__(dropout, smoothing)
         d_in = sum(dim for _, dim in mag.modalities)
         self.add_linear(rng, "proj", d_in, hidden)
         self.stack = GnnStack(num_layers, alpha, hidden_dim=hidden, variant=variant)
@@ -124,12 +123,12 @@ class JointGcn(Model):
             self.params[name] = _he(rng, shape[0], shape)
         self.add_linear(rng, "head", hidden, mag.num_classes)
 
-    def forward(self, mag, norm_adj, tape, training, rng):
+    def forward(self, mag, tape=None, rng=None):
         p = self.wrap(tape)
         x = _concat_features(mag, mag.modality_names())
         h = T.relu(_linear(p, "proj", x))
-        h = T.dropout(h, self.dropout, rng, training)
-        h = self.stack.forward(h, norm_adj, p, "gnn", head=p["head.w"])
+        h = T.dropout(h, self.dropout, rng)
+        h = self.stack.forward(h, mag.adjacency, p, "gnn", head=p["head.w"])
         return {"logits": T.add(h, p["head.b"])}
 
 
@@ -140,8 +139,7 @@ class IndependentAgg(Model):
     layer, and the branch logits are summed before the one bias."""
 
     def __init__(self, rng, mag: Mag, hidden, num_layers, alpha, dropout, smoothing):
-        super().__init__(smoothing)
-        self.dropout = dropout
+        super().__init__(dropout, smoothing)
         self.hidden = hidden
         self.stacks = {}
         for name, dim in mag.modalities:
@@ -152,15 +150,15 @@ class IndependentAgg(Model):
                 self.params[pname] = _he(rng, shape[0], shape)
         self.add_linear(rng, "head", hidden * len(mag.modalities), mag.num_classes)
 
-    def forward(self, mag, norm_adj, tape, training, rng):
+    def forward(self, mag, tape=None, rng=None):
         p = self.wrap(tape)
         logits = None
         for i, (name, _dim) in enumerate(mag.modalities):
             x = T.Tensor(mag.features[name], None)
             h = T.relu(_linear(p, f"proj_{name}", x))
-            h = T.dropout(h, self.dropout, rng, training)
+            h = T.dropout(h, self.dropout, rng)
             block = T.row_select(p["head.w"], np.arange(i * self.hidden, (i + 1) * self.hidden))
-            h = self.stacks[name].forward(h, norm_adj, p, f"gnn_{name}", head=block)
+            h = self.stacks[name].forward(h, mag.adjacency, p, f"gnn_{name}", head=block)
             logits = h if logits is None else T.add(logits, h)
         return {"logits": T.add(logits, p["head.b"])}
 

@@ -20,8 +20,7 @@ VARIANTS = ("full", "base", "synergy-only")
 class SupraModel(Model):
     def __init__(self, rng, mag: Mag, hidden, num_layers, alpha, dropout, smoothing,
                  lambda_aux, variant):
-        super().__init__(smoothing)
-        self.dropout = dropout
+        super().__init__(dropout, smoothing)
         self.lambda_aux = lambda_aux if variant == "full" else 0.0
         self.variant = variant
         self.modalities = list(mag.modalities)
@@ -37,20 +36,20 @@ class SupraModel(Model):
     def synergy_param_count(self) -> int:
         return int(sum(self.params[n].size for n in self.stack.param_shapes("synergy")))
 
-    def forward(self, mag, norm_adj, tape, training, rng):
+    def forward(self, mag, tape=None, rng=None):
         p = self.wrap(tape)
         z_unique, aux_logits = {}, {}
         for name, _dim in self.modalities:
             x = T.Tensor(mag.features[name], None)
             z = T.relu(_linear(p, f"proj_{name}", x))
-            z = T.dropout(z, self.dropout, rng, training)
+            z = T.dropout(z, self.dropout, rng)
             z_unique[name] = z
             aux_logits[name] = _linear(p, f"head_{name}", z)
 
         h_s = T.concat_cols([z_unique[name] for name, _ in self.modalities])
         # head_s is folded into the last synergy layer, its bias added after P
         synergy_logits = T.add(
-            self.stack.forward(h_s, norm_adj, p, "synergy", head=p["head_s.w"]), p["head_s.b"])
+            self.stack.forward(h_s, mag.adjacency, p, "synergy", head=p["head_s.w"]), p["head_s.b"])
 
         if self.variant == "synergy-only":
             y_final = synergy_logits

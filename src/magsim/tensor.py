@@ -207,12 +207,12 @@ def row_select(x: Tensor, idx) -> Tensor:
     return _op(x.data[idx], (x,), (vjp,))
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: train-time activations are divided by the keep
-    probability so eval mode is the identity."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout (kept activations divided by the keep probability);
+    the identity without an ``rng``, as in evaluation, or at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate must be in [0,1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     keep = 1.0 - rate
     kept = rng.random(x.data.shape) < keep   # bool; backward rebuilds kept / keep
@@ -267,9 +267,10 @@ class AdamState:
         self.v = {}
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              weight_decay: float = 0.0, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8):
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator floor
+
+
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float, weight_decay: float = 0.0):
     """One Adam update, in place on the ``params`` arrays.
 
     Weight decay is added to the raw gradient before the moment updates;
@@ -286,12 +287,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -205,7 +205,7 @@ def _case_dropout(rng):
 
     def run(p, tape):
         drop_rng = np.random.default_rng(mask_seed)   # same mask every call
-        return T.sum_all(T.mul(T.dropout(p["x"], 0.4, drop_rng, training=True),
+        return T.sum_all(T.mul(T.dropout(p["x"], 0.4, drop_rng),
                                T.Tensor(c, None)))
 
     return {"x": x}, run

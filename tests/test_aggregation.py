@@ -84,10 +84,25 @@ def test_neighbor_mean_dense_oracle():
     assert np.max(np.abs(out.data - adj.to_dense() @ h)) < 1e-12
 
 
-def test_neighbor_mean_requires_normalized():
-    raw = CsrMatrix.from_undirected_edges(np.array([[0, 1]]), 2)
-    with pytest.raises(ContractError):
-        mean_aggregate(T.Tensor(np.ones((2, 1))), raw, 0.0)
+def test_mean_operator_normalizes_a_raw_adjacency():
+    # node 4 is isolated; the raw 0/1 adjacency and its row-normalized copy
+    # give the same bits, forward and backward, and so does the ego-Jacobian
+    raw = CsrMatrix.from_undirected_edges(np.array([[0, 1], [0, 2], [1, 3], [2, 3], [0, 3]]), 5)
+    norm = raw.row_normalize()
+    assert not raw.normalized and norm.row_normalize() is norm
+    g = np.random.default_rng(2).standard_normal((5, 3))
+    for alpha in (0.0, 0.3):
+        outs = []
+        for adj in (raw, norm):
+            tape = T.Tape()
+            h = T.Tensor(g, tape)
+            out = mean_aggregate(h, adj, alpha)
+            tape.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+            outs.append((out.data, h.grad))
+        assert all(np.array_equal(a, b) for a, b in zip(*outs))
+    for node in range(5):
+        assert np.array_equal(ego_jacobian_diag(raw, 0.3, 3, node),
+                              ego_jacobian_diag(norm, 0.3, 3, node))
 
 
 def test_alpha_zero_operator_is_the_adjacency():
@@ -202,8 +217,7 @@ def test_joint_single_modality_is_plain_gcn():
     rng = np.random.default_rng(0)
     model = JointGcn(rng, mag, hidden=8, num_layers=2, alpha=0.5, dropout=0.0,
                      smoothing=0.1)
-    out = model.forward(mag, mag.adjacency.row_normalize(), None,
-                        training=False, rng=None)
+    out = model.forward(mag)
     assert out["logits"].data.shape == (60, 3)
 
 
@@ -213,7 +227,7 @@ def test_joint_branch_grad_norms_need_backward():
                      dropout=0.0, smoothing=0.1)
     with pytest.raises(TapeError):
         model.branch_grad_norms()
-    model.forward(mag, mag.adjacency.row_normalize(), T.Tape(), training=False, rng=None)
+    model.forward(mag, T.Tape())
     with pytest.raises(TapeError):
         model.branch_grad_norms()
 
@@ -228,8 +242,7 @@ def test_joint_identical_rows_give_identical_logits():
     # smoothing has a fixed point on row-constant input, except where
     # isolated nodes receive a zero neighbor mean
     active = mag.adjacency.degrees > 0
-    logits = model.forward(mag, mag.adjacency.row_normalize(), None,
-                           training=False, rng=None)["logits"].data[active]
+    logits = model.forward(mag)["logits"].data[active]
     assert np.max(np.abs(logits - logits[0])) < 1e-10
 
 
@@ -251,13 +264,12 @@ def test_independent_branch_symmetry():
             model.params[pname][...] = model.params[pname.replace("_b.", "_a.")]
         if pname.startswith("gnn_b."):
             model.params[pname][...] = model.params["gnn_a." + pname.split(".")[1]]
-    norm_adj = mag.adjacency.row_normalize()
     p = model.wrap(None)
     outs = []
     for name in ("a", "b"):
         h = T.relu(T.add(T.matmul(T.Tensor(mag.features[name], None),
                                   p[f"proj_{name}.w"]), p[f"proj_{name}.b"]))
-        h = model.stacks[name].forward(h, norm_adj, p, f"gnn_{name}")
+        h = model.stacks[name].forward(h, mag.adjacency, p, f"gnn_{name}")
         outs.append(h.data)
     assert np.max(np.abs(outs[0] - outs[1])) < 1e-12
 
@@ -266,12 +278,11 @@ def test_independent_head_additivity():
     mag = _two_modality_mag()
     model = IndependentAgg(np.random.default_rng(3), mag, hidden=6,
                            num_layers=1, alpha=0.5, dropout=0.0, smoothing=0.1)
-    norm_adj = mag.adjacency.row_normalize()
-    full = model.forward(mag, norm_adj, None, training=False, rng=None)["logits"].data
+    full = model.forward(mag)["logits"].data
     model.params["head.w"][:6, :] = 0.0     # zero branch a's slice of the head
-    only_b = model.forward(mag, norm_adj, None, training=False, rng=None)["logits"].data
+    only_b = model.forward(mag)["logits"].data
     model.params["head.w"][6:, :] = 0.0     # now both slices zero: bias only
-    bias_only = model.forward(mag, norm_adj, None, training=False, rng=None)["logits"].data
+    bias_only = model.forward(mag)["logits"].data
     contrib_a = full - only_b
     assert np.max(np.abs((only_b - bias_only) + contrib_a + bias_only - full)) < 1e-10
 
@@ -280,10 +291,9 @@ def test_independent_dense_oracle():
     mag = _two_modality_mag()
     model = IndependentAgg(np.random.default_rng(4), mag, hidden=6,
                            num_layers=1, alpha=0.4, dropout=0.0, smoothing=0.1)
-    norm_adj = mag.adjacency.row_normalize()
-    logits = model.forward(mag, norm_adj, None, training=False, rng=None)["logits"].data
+    logits = model.forward(mag)["logits"].data
 
-    dense = norm_adj.to_dense()
+    dense = mag.adjacency.row_normalize().to_dense()
     outs = []
     for name in ("a", "b"):
         h = mag.features[name] @ model.params[f"proj_{name}.w"] + model.params[f"proj_{name}.b"]
@@ -302,11 +312,10 @@ def test_joint_folded_head_equals_unfolded(variant):
     model = JointGcn(np.random.default_rng(0), mag, hidden=6, num_layers=2, alpha=0.4,
                      dropout=0.0, smoothing=0.1, variant=variant)
     randomize_params(model, seed=1)
-    norm_adj = mag.adjacency.row_normalize()
-    logits = model.forward(mag, norm_adj, None, training=False, rng=None)["logits"].data
+    logits = model.forward(mag)["logits"].data
     x = np.concatenate([mag.features[n] for n in mag.modality_names()], axis=1)
     h = np.maximum(x @ model.params["proj.w"] + model.params["proj.b"], 0.0)
-    z = model.stack.forward(T.Tensor(h), norm_adj, model.wrap(None), "gnn").data
+    z = model.stack.forward(T.Tensor(h), mag.adjacency, model.wrap(None), "gnn").data
     expected = z @ model.params["head.w"] + model.params["head.b"]
     assert np.max(np.abs(logits - expected)) < 1e-12
 
@@ -316,13 +325,12 @@ def test_independent_folded_head_equals_unfolded():
     model = IndependentAgg(np.random.default_rng(0), mag, hidden=6, num_layers=2,
                            alpha=0.4, dropout=0.0, smoothing=0.1)
     randomize_params(model, seed=2)
-    norm_adj = mag.adjacency.row_normalize()
-    logits = model.forward(mag, norm_adj, None, training=False, rng=None)["logits"].data
+    logits = model.forward(mag)["logits"].data
     p, outs = model.wrap(None), []
     for name, _dim in mag.modalities:
         h = np.maximum(mag.features[name] @ model.params[f"proj_{name}.w"]
                        + model.params[f"proj_{name}.b"], 0.0)
-        outs.append(model.stacks[name].forward(T.Tensor(h), norm_adj, p, f"gnn_{name}").data)
+        outs.append(model.stacks[name].forward(T.Tensor(h), mag.adjacency, p, f"gnn_{name}").data)
     expected = np.concatenate(outs, axis=1) @ model.params["head.w"] + model.params["head.b"]
     assert np.max(np.abs(logits - expected)) < 1e-12
 
@@ -366,9 +374,6 @@ def test_ego_jacobian_errors():
         ego_jacobian_diag(adj, 1.0, 2, 0)
     with pytest.raises(ContractError):
         ego_jacobian_diag(adj, 0.5, 2, 9)
-    raw = CsrMatrix.from_undirected_edges(np.array([[0, 1]]), 2)
-    with pytest.raises(ContractError):
-        ego_jacobian_diag(raw, 0.5, 1, 0)
 
 
 def test_autodiff_matches_structural_jacobian():

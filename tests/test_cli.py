@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, config handling, output formats,
 and byte-level reproducibility against golden files."""
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -8,9 +10,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import src_env
-from magsim.cli import main
+from magsim.cli import build_parser, main
 from magsim.graph import calibrate, load
 from magsim.theory import tau
 
@@ -198,6 +202,129 @@ def test_bad_train_key_rejected(tmp_path, dataset_dir):
     path = tmp_path / "bad_train.json"
     path.write_text(json.dumps(doc))
     assert main(["train", "--config", str(path), "--data", dataset_dir]) == 2
+
+
+@pytest.mark.parametrize("cmd,section,key,value", [
+    ("gen", "synthetic", "modalities", "text"),
+    ("gen", "synthetic", "modalities", ["text"]),
+    ("gen", "synthetic", "modalities", [{"name": "text", "signal_norm": 1.0}]),
+    ("gen", "synthetic", "split_fracs", "0.6,0.2,0.2"),
+    ("sweep-noise", "sweep", "scales", "0"),
+    ("sweep-noise", "sweep", "scales", [0, "1"]),
+    ("sweep-noise", "sweep", "kinds", "ef-mlp"),
+    ("sweep-noise", "sweep", "seeds", 0),
+    ("track-grads", "grads", "variants", [["supra-base"]]),
+    ("track-grads", "grads", "variants", [["supra-base", "supra"]]),
+    ("track-grads", "grads", "variants", [["supra-base", {"learning_rate": 0.1}]]),
+    ("corrupt", "probe", "kinds", [[{"kind": "supra"}, "supra-base"]]),
+    ("corrupt", "probe", "kinds", ["supra-base"]),
+    ("corrupt", "probe", "seeds", {"0": 1}),
+], ids=["modalities-str", "modalities-of-str", "modality-without-dim", "split-fracs-str",
+        "scales-str", "scale-str", "kinds-str", "seeds-int", "variant-short",
+        "variant-overrides-str", "variant-unknown-key", "probe-kind-swapped",
+        "probe-kind-str", "probe-seeds-dict"])
+def test_malformed_section_names_it(tmp_path, dataset_dir, capsys, cmd, section, key, value):
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = [cmd, "--config", str(path), "--out", str(tmp_path / "out")]
+    code = main(argv + ([] if cmd == "gen" else ["--data", dataset_dir]))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and f"{section}.{key}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section", ["synthetic", "train"])
+def test_a_section_that_is_no_object_is_config_error(tmp_path, dataset_dir, capsys, section):
+    doc = {**TINY_CONFIG, section: [1, 2]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    cmd = ["gen", "--out", str(tmp_path / "d")] if section == "synthetic" else \
+        ["train", "--data", dataset_dir]
+    assert main(cmd + ["--config", str(path)]) == 2
+    assert f"{section}: must be an object" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"train": {"kind": "ef-mlp"}} \xe9'.encode("latin-1"))
+    assert main(["gen", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert "not valid UTF-8 JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--config", "nonexist.json"], ["theory", "--seed", "1"], ["theory", "--jobs", "2"],
+    ["gen", "--out", "d", "--jobs", "2"], ["train", "--jobs", "2"],
+    ["track-grads", "--out", "g.csv", "--jobs", "2"], ["corrupt", "--out", "p.csv", "--jobs", "2"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_command_has_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices
+    flags = {cmd: sorted(opt for a in p._actions for opt in a.option_strings
+                         if opt.startswith("--") and opt != "--help")
+             for cmd, p in sub.items()}
+    common = ["--config", "--out", "--seed"]
+    assert flags == {"gen": common, "train": sorted(common + ["--data"]),
+                     "sweep-noise": sorted(common + ["--data", "--jobs", "--scales"]),
+                     "track-grads": sorted(common + ["--data"]),
+                     "corrupt": sorted(common + ["--data"]), "theory": []}
+    assert sum(map(len, flags.values())) == 21
+
+
+FUZZ_CONFIG = {
+    "synthetic": {**TINY_CONFIG["synthetic"], "num_nodes": 60, "split_fracs": [0.6, 0.2, 0.2]},
+    "train": {"kind": "supra", "lr": 0.01, "max_epochs": 1, "patience": 1, "seed": 3,
+              "hidden": 4, "num_layers": 1, "alpha": 0.5, "dropout": 0.1, "smoothing": 0.1,
+              "weight_decay": 1e-4, "lambda_aux": 0.7, "supra_variant": "full"},
+}
+_FUZZ_PATHS = ([(section,) for section in FUZZ_CONFIG]
+               + [(section, key) for section in FUZZ_CONFIG for key in FUZZ_CONFIG[section]]
+               + [("synthetic", "modalities", 0, key)
+                  for key in FUZZ_CONFIG["synthetic"]["modalities"][0]])
+_DROP = object()
+# wrong types only: a wrong magnitude (say a huge num_nodes) would size arrays
+_WRONG_TYPES = st.sampled_from(["x", ["x"], [], {"x": 1}, None, True, False, _DROP])
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    path = d / "config.json"
+    path.write_text(json.dumps(FUZZ_CONFIG))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--config", str(path), "--out", str(d / "data")]) == 0
+    return str(d / "data")
+
+
+@given(path=st.sampled_from(_FUZZ_PATHS), value=_WRONG_TYPES)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_config_ends_in_a_typed_error(fuzz_data, tmp_path_factory, path, value):
+    doc = json.loads(json.dumps(FUZZ_CONFIG))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    d = tmp_path_factory.mktemp("case")
+    config = d / "config.json"
+    config.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        codes = [main(["gen", "--config", str(config), "--out", str(d / "data")]),
+                 main(["train", "--config", str(config), "--data", fuzz_data])]
+    assert all(code in (0, 2, 3) for code in codes), (codes, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,9 @@ def test_config_rejects_bad_patience_and_lr():
     ("hidden", 2.5), ("num_layers", True),
     ("alpha", 0.0), ("alpha", 1.0), ("alpha", -0.5), ("alpha", float("nan")),
     ("supra_variant", "dual"),
+    ("lr", "x"), ("weight_decay", None), ("lambda_aux", [0.7]), ("alpha", None),
+    ("dropout", "0.1"), ("smoothing", True),
+    ("seed", "x"), ("seed", 1.5), ("seed", -1), ("seed", None), ("seed", False),
 ])
 def test_config_rejects_bad_value(field, value):
     with pytest.raises(ContractError, match=field):
@@ -178,13 +181,12 @@ def test_supra_aux_loss_accounted(small_mag):
 
 
 def test_every_model_kind_shares_the_loss_path(small_mag):
-    norm_adj = small_mag.adjacency.row_normalize()
     train_idx = small_mag.splits["train"]
     for kind in MODEL_KINDS:
         cfg = TrainConfig(kind=kind, hidden=4, smoothing=0.2)
         model = build_model(cfg, small_mag, np.random.default_rng(0))
         assert model.smoothing == 0.2
-        out = model.forward(small_mag, norm_adj, T.Tape(), True, np.random.default_rng(1))
+        out = model.forward(small_mag, T.Tape(), np.random.default_rng(1))
         losses = model.loss(out, small_mag.labels, train_idx)
         assert set(losses) == {"total", "task", "aux"}
         if kind != "supra":
@@ -195,13 +197,12 @@ def test_every_model_kind_shares_the_loss_path(small_mag):
 def test_eval_forward_keeps_the_training_gradients(small_mag, kind):
     cfg = TrainConfig(kind=kind, hidden=8, lambda_aux=0.5 if kind == "supra" else 0.0)
     model = build_model(cfg, small_mag, np.random.default_rng(0))
-    norm_adj = small_mag.adjacency.row_normalize()
     tape = T.Tape()
-    out = model.forward(small_mag, norm_adj, tape, True, np.random.default_rng(1))
+    out = model.forward(small_mag, tape, np.random.default_rng(1))
     tape.backward(model.loss(out, small_mag.labels, small_mag.splits["train"])["total"])
     grads, norms = model.grads(), model.branch_grad_norms()
     assert grads
-    predict(model, small_mag, norm_adj, small_mag.splits["val"])
+    predict(model, small_mag, small_mag.splits["val"])
     after = model.grads()
     assert after.keys() == grads.keys()
     assert all(after[k] is grads[k] for k in grads)
@@ -339,7 +340,7 @@ def test_noise_hurts_topology_free_model(small_mag):
 
 def test_track_gradients_needs_two_modalities(census_mag):
     with pytest.raises(ContractError):
-        track_gradients(census_mag, [("a", {})], 2, 0)
+        track_gradients(census_mag, [("a", {})], 2, 0, TrainConfig())
 
 
 def test_track_gradients_rows(small_mag):

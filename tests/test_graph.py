@@ -168,6 +168,26 @@ def test_spec_rejects_bad_modality_numbers(field, value):
         SyntheticSpec(10, 2, [ModalitySpec("t", 4, **{field: value})])
 
 
+def _spec(**fields):
+    modality = {k: fields.pop(k) for k in ("name", "dim", "signal_norm", "noise_var")
+                if k in fields}
+    return SyntheticSpec(**{"num_nodes": 10, "num_classes": 2, **fields,
+                            "modalities": [ModalitySpec(**{"name": "t", "dim": 4, **modality})]})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("num_nodes", "10"), ("num_nodes", 10.0), ("num_classes", None), ("num_classes", 0),
+    ("homophily", "x"), ("homophily", True), ("mean_degree", None), ("mean_degree", [4]),
+    ("split_fracs", (0.6, "0.2", 0.2)), ("split_fracs", (0.6, 0.2)), ("split_fracs", "abc"),
+    ("seed", -1), ("seed", "x"), ("seed", 1.5), ("seed", None),
+    ("dim", "16"), ("dim", 4.0), ("signal_norm", "x"), ("noise_var", None), ("name", 3),
+])
+def test_spec_rejects_bad_value(field, value):
+    _spec()                                         # the base spec is valid
+    with pytest.raises(ContractError, match=field):
+        _spec(**{field: value})
+
+
 def test_mag_validation():
     mag = three_node_mag()
     with pytest.raises(ShapeError):
@@ -784,8 +804,9 @@ def test_caches_stay_out_of_pickles():
     mag = generate(SyntheticSpec(300, 3, [ModalitySpec("text", 8)], seed=4))
     size = len(pickle.dumps(mag))
     norm = mag.adjacency.row_normalize()
-    norm.mix_operator(0.5)
-    norm.mix_operator(0.0)
+    for adj in (mag.adjacency, norm):
+        adj.mix_operator(0.5)
+        adj.mix_operator(0.0)
     assert len(pickle.dumps(mag)) == size
     assert len(pickle.dumps(norm)) == len(pickle.dumps(CsrMatrix(*norm._args())))
     copy = pickle.loads(pickle.dumps(mag))

@@ -17,15 +17,11 @@ def build(mag, seed=0, **kwargs):
     return SupraModel(np.random.default_rng(seed), mag, **kwargs)
 
 
-def fwd(model, mag, tape=None, training=False, rng=None):
-    return model.forward(mag, mag.adjacency.row_normalize(), tape, training, rng)
-
-
 def unfolded_synergy_logits(model, mag, out):
     """stack(h_s) @ W_head + b with head_s kept out of the stack: the
     reference for the folded synergy pathway's ``synergy_logits``."""
     h_s = T.concat_cols([out["z_unique"][name] for name, _ in model.modalities])
-    z_s = model.stack.forward(h_s, mag.adjacency.row_normalize(), model.wrap(None), "synergy")
+    z_s = model.stack.forward(h_s, mag.adjacency, model.wrap(None), "synergy")
     return z_s.data @ model.params["head_s.w"] + model.params["head_s.b"]
 
 
@@ -49,7 +45,7 @@ def test_pooled_head_arithmetic():
 def test_forward_pooling_identity():
     mag = small_two_modality()
     model = build(mag)
-    out = fwd(model, mag)
+    out = model.forward(mag)
     n_heads = len(mag.modalities) + 1
     head_s = unfolded_synergy_logits(model, mag, out)
     assert np.max(np.abs(out["synergy_logits"].data - head_s)) < 1e-12
@@ -63,7 +59,7 @@ def test_forward_pooling_identity():
 def test_synergy_only_logits_are_synergy_head():
     mag = small_two_modality()
     model = build(mag, variant="synergy-only")
-    out = fwd(model, mag)
+    out = model.forward(mag)
     head_s = unfolded_synergy_logits(model, mag, out)
     assert np.max(np.abs(out["logits"].data - head_s)) < 1e-12
 
@@ -75,7 +71,7 @@ def test_folded_synergy_head_equals_unfolded(variant):
     mag = isolated_node_mag()
     model = build(mag, variant=variant, lambda_aux=0.7)
     randomize_params(model, seed=3)
-    out = fwd(model, mag)
+    out = model.forward(mag)
     head_s = unfolded_synergy_logits(model, mag, out)
     assert np.max(np.abs(out["synergy_logits"].data - head_s)) < 1e-12
     if variant == "synergy-only":
@@ -90,7 +86,7 @@ def test_modality_permutation_symmetry():
     # must leave the pooled logits unchanged up to concat ordering
     mag = small_two_modality()
     model = build(mag, seed=5)
-    out_a = fwd(model, mag)["logits"].data
+    out_a = model.forward(mag)["logits"].data
 
     swapped = mag.with_features(dict(mag.features))
     swapped.modalities = list(reversed(mag.modalities))
@@ -107,7 +103,7 @@ def test_modality_permutation_symmetry():
     model_b.params["synergy.w0"][...] = np.concatenate([w0[d:], w0[:d]], axis=0)
     for i in range(1, model.stack.num_layers):
         model_b.params[f"synergy.w{i}"][...] = model.params[f"synergy.w{i}"]
-    out_b = fwd(model_b, swapped)["logits"].data
+    out_b = model_b.forward(swapped)["logits"].data
     assert np.max(np.abs(out_a - out_b)) < 1e-12
 
 
@@ -140,7 +136,7 @@ def test_synergy_param_count_invariant_to_raw_dims():
 def _loss_parts(mag, **kwargs):
     model = build(mag, **kwargs)
     tape = T.Tape()
-    out = fwd(model, mag, tape)
+    out = model.forward(mag, tape)
     losses = model.loss(out, mag.labels, mag.splits["train"])
     return model, tape, losses
 
@@ -182,7 +178,7 @@ def test_aux_path_reaches_projector_without_gnn():
     model.params["head_s.w"][...] = 0.0
     model.params["head_s.b"][...] = 0.0
     tape = T.Tape()
-    out = fwd(model, mag, tape)
+    out = model.forward(mag, tape)
     losses = model.loss(out, mag.labels, mag.splits["train"])
     tape.backward(losses["total"])
     norms = model.branch_grad_norms()
@@ -205,7 +201,7 @@ def test_identical_modalities_give_identical_aux_grads():
     w0 = model.params["synergy.w0"]
     w0[d:, :] = w0[:d, :]
     tape = T.Tape()
-    out = fwd(model, mag, tape)
+    out = model.forward(mag, tape)
     losses = model.loss(out, mag.labels, mag.splits["train"])
     tape.backward(losses["total"])
     g = model.grads()
@@ -222,7 +218,7 @@ def test_branch_grad_norms_before_backward_errors():
     model = build(mag)
     with pytest.raises(TapeError):
         model.branch_grad_norms()
-    fwd(model, mag, T.Tape())
+    model.forward(mag, T.Tape())
     with pytest.raises(TapeError):
         model.branch_grad_norms()
 
@@ -231,7 +227,7 @@ def test_branch_grad_norm_is_euclidean():
     mag = small_two_modality()
     model = build(mag)
     tape = T.Tape()
-    out = fwd(model, mag, tape)
+    out = model.forward(mag, tape)
     losses = model.loss(out, mag.labels, mag.splits["train"])
     tape.backward(losses["total"])
     # overwrite one branch's gradients with a known 3-4-5 pattern
@@ -257,7 +253,7 @@ def test_forward_on_hand_built_graph_shapes():
     mag = three_node_mag()
     model = build(mag, hidden=4)
     model.params["head_s.b"][...] = [[0.5, -1.0]]   # node 2 is isolated
-    out = fwd(model, mag)
+    out = model.forward(mag)
     assert out["logits"].data.shape == (3, 2)
     assert out["z_unique"]["text"].data.shape == (3, 4)
     assert out["synergy_logits"].data.shape == (3, 2)

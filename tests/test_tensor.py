@@ -58,19 +58,19 @@ def test_add_shape_error():
 def test_dropout_rate_zero_identity():
     x = T.Tensor([[1.0, -2.0]])
     rng = np.random.default_rng(0)
-    assert T.dropout(x, 0.0, rng, training=True) is x
-    assert T.dropout(x, 0.5, rng, training=False) is x
+    assert T.dropout(x, 0.0, rng) is x
+    assert T.dropout(x, 0.5, None) is x
 
 
 def test_dropout_rate_bounds():
     with pytest.raises(ShapeError):
-        T.dropout(T.Tensor([[1.0]]), 1.0, np.random.default_rng(0), True)
+        T.dropout(T.Tensor([[1.0]]), 1.0, np.random.default_rng(0))
 
 
 def test_dropout_inverted_scaling():
     rng = np.random.default_rng(1)
     x = T.Tensor(np.ones((2000, 1)))
-    out = T.dropout(x, 0.3, rng, training=True)
+    out = T.dropout(x, 0.3, rng)
     kept = out.data[out.data != 0]
     assert np.allclose(kept, 1.0 / 0.7)
     assert abs(out.data.mean() - 1.0) < 0.05
@@ -249,7 +249,7 @@ def test_backward_gives_grad_to_leaves_only_and_empties_the_tape():
     w, b = T.Tensor(rng.standard_normal((3, 4)), tape), T.Tensor(np.zeros((1, 4)), tape)
     w2 = T.Tensor(rng.standard_normal((4, 2)), tape)
     pre = T.linear(x, w, b)
-    h = T.dropout(T.relu(pre), 0.5, rng, training=True)
+    h = T.dropout(T.relu(pre), 0.5, rng)
     logits = T.matmul(h, w2)
     loss = T.cross_entropy_smoothed(T.row_select(logits, [0, 2, 5]), np.array([0, 1, 1]), 0.1)
     assert len(tape) == 6
@@ -283,11 +283,10 @@ def test_supra_training_step_peak_memory():
                                  homophily=0.8, mean_degree=10, seed=3))
     cfg = TrainConfig(kind="supra", lambda_aux=0.7, hidden=hidden, num_layers=2)
     model = build_model(cfg, mag, np.random.default_rng(0))
-    adj = mag.adjacency.row_normalize()
 
     def step(rng):
         tape = T.Tape()
-        out = model.forward(mag, adj, tape, training=True, rng=rng)
+        out = model.forward(mag, tape=tape, rng=rng)
         tape.backward(model.loss(out, mag.labels, mag.splits["train"])["total"])
         return out
 

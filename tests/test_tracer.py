@@ -47,3 +47,24 @@ def test_tracer_installs_on_the_package_and_uninstall_restores_it(monkeypatch):
     assert [k for k in before if after[k] is not before[k]] == []
     for owner, attr, original in rebound:
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+def test_traced_training_names_its_forward_spans(monkeypatch):
+    """The tracer names a forward span by ``args[3]`` or the ``tape``
+    keyword.  In ``forward(mag, tape=None, rng=None)`` ``args[3]`` is the
+    rng, so ``train`` passes the tape by keyword; a span named wrongly
+    would silently zero ``models.forward_train_ms``.  The adjacency is
+    normalized once, by the first mean-aggregation operator it builds."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    mag = graph.generate(graph.SyntheticSpec(
+        200, 3, [graph.ModalitySpec("text", 6, 1.0, 0.2),
+                 graph.ModalitySpec("visual", 6, 1.0, 0.8)], seed=4))
+    cfg = experiments.TrainConfig(kind="supra", lambda_aux=0.7, hidden=8,
+                                  max_epochs=2, patience=2, seed=1)
+    with tracer.Tracer() as traced:
+        experiments.train(mag, cfg)
+    names = [s.name for s in traced.spans]
+    assert names.count("models.forward_train") == 2
+    assert names.count("models.forward_eval") == 3      # two validations and the test
+    assert names.count("graph.row_normalize") == 1
