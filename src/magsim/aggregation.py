@@ -58,26 +58,28 @@ class GnnStack:
     def param_shapes(self, prefix: str) -> dict:
         return {f"{prefix}.w{i}": shape for i, shape in enumerate(self.weight_shapes)}
 
-    def forward(self, h: T.Tensor, adj: CsrMatrix, params: dict, prefix: str,
+    def forward(self, h: T.Tensor | list, adj: CsrMatrix, params: dict, prefix: str,
                 head: T.Tensor | None = None) -> T.Tensor:
-        """With a ``head`` weight (hidden x C) the last layer uses W_last @ head:
+        """``h`` is one tensor or a list of column blocks read as their concat.
+        With a ``head`` weight (hidden x C) the last layer uses W_last @ head:
         the linear head folded in, so a mean-mix layer returns P(H W_last head)
-        and its sparse product and backward run at width C.  The head's bias
-        is the caller's to add after P, whose rows sum to alpha at isolated
-        nodes."""
+        and its sparse product and backward run at width C.  The head's bias is
+        the caller's to add after P, whose rows sum to alpha at isolated nodes."""
         for i in range(self.num_layers):
+            blocks = [h] if isinstance(h, T.Tensor) else h
             w = params.get(f"{prefix}.w{i}")
             if w is None:
                 raise ContractError(f"layer {i} has a weight but none was supplied")
             last = i + 1 == self.num_layers
             if head is not None and last:
-                w = T.matmul(w, head)
+                w = T.linear(w, head)
             if self.variant == "ego-concat":
-                h = T.matmul(T.concat_cols([h, mean_aggregate(h, adj, 0.0)]), w)
+                # [H, A_hat H] W, with A_hat H taken block by block
+                h = T.linear(blocks + [mean_aggregate(b, adj, 0.0) for b in blocks], w)
             else:
                 # transform before propagate: P(HW) equals (PH)W, and the sparse
                 # product runs at the output width, never wider than the input here
-                h = mean_aggregate(T.matmul(h, w), adj, self.alpha)
+                h = mean_aggregate(T.linear(blocks, w), adj, self.alpha)
             if not last:
                 h = T.relu(h)
         return h

@@ -74,6 +74,11 @@ def _check_pairs(pairs: list, context: str):
         _check_keys(pair[1], TRAIN, f"{context} {pair[0]!r}")
 
 
+def _check_seeds(seeds: list, context: str):
+    if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 0 for s in seeds):
+        raise ConfigError(f"{context}: entries must be integers >= 0, got {seeds!r:.40}")
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -173,6 +178,7 @@ def cmd_sweep_noise(args) -> int:
         if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
             raise ConfigError(f"sweep.scales: {scale!r:.40} is not a number")
     kinds, seeds = sweep["kinds"], sweep["seeds"]
+    _check_seeds(seeds, "sweep.seeds")
     cfg = train_config(doc, args.seed)
     mag = _load_data(args.data)
     with _pool_map(args.jobs) as pool_map:
@@ -209,6 +215,7 @@ def cmd_corrupt(args) -> int:
     probe = _section(doc, "probe", PROBE)
     kinds, seeds = probe["kinds"], probe["seeds"]
     _check_pairs(kinds, "probe.kinds")
+    _check_seeds(seeds, "probe.seeds")
     cfg = train_config(doc, args.seed)
     mag = _load_data(args.data)
     dominant = mag.modality_names()[0] if probe["dominant"] is None else probe["dominant"]

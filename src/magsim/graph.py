@@ -227,8 +227,9 @@ class SyntheticSpec:
             raise ContractError(f"num_classes {self.num_classes} exceeds num_nodes {self.num_nodes}")
         check_number("mean_degree", self.mean_degree, low=1)
         for m in self.modalities:
-            if not isinstance(m.name, str):
-                raise ContractError(f"modality name must be a string, got {m.name!r:.40}")
+            if not isinstance(m.name, str) or not m.name or "/" in m.name or "\0" in m.name:
+                raise ContractError(f"modality name must be a non-empty string without '/' or "
+                                    f"NUL (it names feat_<name>.f32), got {m.name!r:.40}")
             check_number(f"modality {m.name}: noise_var", m.noise_var, low=0)
             check_number(f"modality {m.name}: signal_norm", m.signal_norm)
             # one orthogonal class signal per class needs d >= C

@@ -82,11 +82,6 @@ def _linear(p, prefix, x):
     return T.linear(x, p[f"{prefix}.w"], p[f"{prefix}.b"])
 
 
-def _concat_features(mag: Mag, names) -> T.Tensor:
-    cols = [T.Tensor(mag.features[n], None) for n in names]
-    return T.concat_cols(cols) if len(cols) > 1 else cols[0]
-
-
 class MlpModel(Model):
     """Two-layer perceptron on one modality or on the early-fusion concat."""
 
@@ -101,7 +96,8 @@ class MlpModel(Model):
 
     def forward(self, mag, tape=None, rng=None):
         p = self.wrap(tape)
-        x = _concat_features(mag, self.modality_names)
+        # early fusion as column blocks: fc1 reads them in place of their concat
+        x = [T.Tensor(mag.features[n], None) for n in self.modality_names]
         h = T.relu(_linear(p, "fc1", x))
         h = T.dropout(h, self.dropout, rng)
         return {"logits": _linear(p, "head", h)}
@@ -125,7 +121,7 @@ class JointGcn(Model):
 
     def forward(self, mag, tape=None, rng=None):
         p = self.wrap(tape)
-        x = _concat_features(mag, mag.modality_names())
+        x = [T.Tensor(mag.features[n], None) for n in mag.modality_names()]   # as column blocks
         h = T.relu(_linear(p, "proj", x))
         h = T.dropout(h, self.dropout, rng)
         h = self.stack.forward(h, mag.adjacency, p, "gnn", head=p["head.w"])

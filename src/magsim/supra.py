@@ -46,8 +46,8 @@ class SupraModel(Model):
             z_unique[name] = z
             aux_logits[name] = _linear(p, f"head_{name}", z)
 
-        h_s = T.concat_cols([z_unique[name] for name, _ in self.modalities])
         # head_s is folded into the last synergy layer, its bias added after P
+        h_s = [z_unique[name] for name, _ in self.modalities]   # the concat's blocks
         synergy_logits = T.add(
             self.stack.forward(h_s, mag.adjacency, p, "synergy", head=p["head_s.w"]), p["head_s.b"])
 

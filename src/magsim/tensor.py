@@ -134,23 +134,29 @@ def _op(data, parents, vjps) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: {a.data.shape} x {b.data.shape}")
-    ad, bd = a.data, b.data
-    return _op(ad @ bd, (a, b), (lambda g: g @ bd.T, lambda g: ad.T @ g))
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with ``b`` a 1 x cols bias row: one product, the bias added
-    in place, one tape node."""
-    if x.cols != w.rows or b.data.shape != (1, w.cols):
-        raise ShapeError(f"linear: {x.data.shape} x {w.data.shape} + {b.data.shape}")
-    xd, wd = x.data, w.data
-    out = xd @ wd
+def linear(x: Tensor | list, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b, a 1 x cols bias row) as one tape node.  ``x`` is one tensor
+    or a list of column blocks standing for their concat: block i meets rows
+    r_i of w, and the products x_i @ w[r_i] and the bias are summed into one
+    output in place, so the concat is never formed."""
+    blocks = [x] if isinstance(x, Tensor) else list(x)
+    widths = [t.cols for t in blocks]
+    if (not blocks or any(t.rows != blocks[0].rows for t in blocks) or sum(widths) != w.rows
+            or (b is not None and b.data.shape != (1, w.cols))):
+        raise ShapeError(f"linear: {[t.data.shape for t in blocks]} x {w.data.shape}"
+                         f" + {None if b is None else b.data.shape}")
+    offsets = list(itertools.accumulate(widths, initial=0))
+    rows = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    xs, wd = [t.data for t in blocks], w.data
+    out = xs[0] @ wd[rows[0]]
+    for xd, r in zip(xs[1:], rows[1:]):
+        out += xd @ wd[r]
+    vjps = [lambda g, r=r: g @ wd[r].T for r in rows]
+    vjps.append(lambda g: np.concatenate([xd.T @ g for xd in xs]))   # the stacked x_i.T @ g
+    if b is None:
+        return _op(out, [*blocks, w], vjps)
     out += b.data
-    return _op(out, (x, w, b), (lambda g: g @ wd.T, lambda g: xd.T @ g,
-                                lambda g: g.sum(axis=0, keepdims=True)))
+    return _op(out, [*blocks, w, b], vjps + [lambda g: g.sum(axis=0, keepdims=True)])
 
 
 def relu(x: Tensor) -> Tensor:
@@ -178,19 +184,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: {a.data.shape} * {b.data.shape}")
     ad, bd = a.data, b.data
     return _op(ad * bd, (a, b), (lambda g: g * bd, lambda g: g * ad))
-
-
-def concat_cols(tensors) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat_cols of nothing")
-    n = tensors[0].rows
-    if any(t.rows != n for t in tensors):
-        raise ShapeError(f"concat_cols: row counts differ: {[t.rows for t in tensors]}")
-    offsets = np.cumsum([0] + [t.cols for t in tensors])
-    return _op(np.concatenate([t.data for t in tensors], axis=1), tensors,
-               [lambda g, lo=lo, hi=hi: g[:, lo:hi]
-                for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 def row_select(x: Tensor, idx) -> Tensor:

@@ -119,11 +119,11 @@ def measure_weak_branch_gradient(rng, alpha: float, num_layers: int):
     f_weak = T.Tensor(rng.standard_normal((d, p)), tape)
     x = np.zeros((n, d))
     x[node] = x_row                       # only the probed node's ego signal
-    h = T.matmul(T.Tensor(x, None), f_weak)
+    h = T.linear(T.Tensor(x, None), f_weak)
     adj = directed_chain(n)
     for _ in range(num_layers):
         h = mean_aggregate(h, adj, alpha)
-    pred = T.matmul(T.row_select(h, [node]), T.Tensor(w.reshape(p, 1), None))
+    pred = T.linear(T.row_select(h, [node]), T.Tensor(w.reshape(p, 1), None))
     resid = T.add(pred, T.Tensor([[-y]], None))
     loss = T.scale(T.mul(resid, resid), 0.5)
     tape.backward(loss)

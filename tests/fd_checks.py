@@ -35,12 +35,13 @@ def _away_from_kink(rng, shape, margin=0.05):
 
 
 def _case_matmul(rng):
+    # linear without a bias: the plain product a @ b
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
     c = rng.standard_normal((3, 2))
 
     def run(p, tape):
-        return T.sum_all(T.mul(T.matmul(p["a"], p["b"]), T.Tensor(c, None)))
+        return T.sum_all(T.mul(T.linear(p["a"], p["b"]), T.Tensor(c, None)))
 
     return {"a": a, "b": b}, run
 
@@ -176,15 +177,29 @@ def _case_mul(rng):
     return {"a": a, "b": b}, run
 
 
-def _case_concat(rng):
+def _block_linear_case(rng, bias):
+    """linear over two column blocks, standing for their concat."""
     a = rng.standard_normal((4, 2))
     b = rng.standard_normal((4, 3))
-    c = rng.standard_normal((4, 5))
+    w = rng.standard_normal((5, 3))
+    c = rng.standard_normal((4, 3))
+    arrays = {"a": a, "b": b, "w": w}
+    if bias:
+        arrays["bias"] = rng.standard_normal((1, 3))
 
     def run(p, tape):
-        return T.sum_all(T.mul(T.concat_cols([p["a"], p["b"]]), T.Tensor(c, None)))
+        out = T.linear([p["a"], p["b"]], p["w"], p.get("bias"))
+        return T.sum_all(T.mul(out, T.Tensor(c, None)))
 
-    return {"a": a, "b": b}, run
+    return arrays, run
+
+
+def _case_linear_blocks(rng):
+    return _block_linear_case(rng, bias=True)
+
+
+def _case_linear_blocks_no_bias(rng):
+    return _block_linear_case(rng, bias=False)
 
 
 def _case_row_select(rng):
@@ -240,8 +255,8 @@ def _case_mlp_composite(rng):
     b2 = rng.standard_normal((1, 3))
 
     def run(p, tape):
-        h = T.relu(T.add(T.matmul(T.Tensor(x, None), p["w1"]), p["b1"]))
-        logits = T.add(T.matmul(h, p["w2"]), p["b2"])
+        h = T.relu(T.add(T.linear(T.Tensor(x, None), p["w1"]), p["b1"]))
+        logits = T.add(T.linear(h, p["w2"]), p["b2"])
         return T.cross_entropy_smoothed(logits, labels, 0.1)
 
     return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}, run
@@ -260,7 +275,8 @@ ALL_CASES = {
     "linear": _case_linear,
     "scale": _case_scale,
     "mul": _case_mul,
-    "concat_cols": _case_concat,
+    "linear-blocks": _case_linear_blocks,
+    "linear-blocks-no-bias": _case_linear_blocks_no_bias,
     "row_select": _case_row_select,
     "dropout": _case_dropout,
     "sum_all": _case_sum_all,

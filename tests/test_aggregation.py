@@ -267,7 +267,7 @@ def test_independent_branch_symmetry():
     p = model.wrap(None)
     outs = []
     for name in ("a", "b"):
-        h = T.relu(T.add(T.matmul(T.Tensor(mag.features[name], None),
+        h = T.relu(T.add(T.linear(T.Tensor(mag.features[name], None),
                                   p[f"proj_{name}.w"]), p[f"proj_{name}.b"]))
         h = model.stacks[name].forward(h, mag.adjacency, p, f"gnn_{name}")
         outs.append(h.data)

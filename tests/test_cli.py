@@ -219,10 +219,16 @@ def test_bad_train_key_rejected(tmp_path, dataset_dir):
     ("corrupt", "probe", "kinds", [[{"kind": "supra"}, "supra-base"]]),
     ("corrupt", "probe", "kinds", ["supra-base"]),
     ("corrupt", "probe", "seeds", {"0": 1}),
+    ("sweep-noise", "sweep", "seeds", [0, None]),
+    ("sweep-noise", "sweep", "seeds", [{"a": 1}]),
+    ("corrupt", "probe", "seeds", [-1]),
+    ("corrupt", "probe", "seeds", [1.5]),
+    ("corrupt", "probe", "seeds", [True]),
 ], ids=["modalities-str", "modalities-of-str", "modality-without-dim", "split-fracs-str",
         "scales-str", "scale-str", "kinds-str", "seeds-int", "variant-short",
         "variant-overrides-str", "variant-unknown-key", "probe-kind-swapped",
-        "probe-kind-str", "probe-seeds-dict"])
+        "probe-kind-str", "probe-seeds-dict", "seed-null", "seed-object",
+        "probe-seed-negative", "probe-seed-float", "probe-seed-bool"])
 def test_malformed_section_names_it(tmp_path, dataset_dir, capsys, cmd, section, key, value):
     doc = json.loads(json.dumps(TINY_CONFIG))
     doc.setdefault(section, {})[key] = value
@@ -245,6 +251,18 @@ def test_a_section_that_is_no_object_is_config_error(tmp_path, dataset_dir, caps
         ["train", "--data", dataset_dir]
     assert main(cmd + ["--config", str(path)]) == 2
     assert f"{section}: must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["te/xt", "", "te\0xt"], ids=["slash", "empty", "nul"])
+def test_gen_with_a_name_no_file_can_have_writes_nothing(tmp_path, capsys, name):
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["synthetic"]["modalities"][0]["name"] = name
+    path = tmp_path / "bad_name.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == 2
+    assert "modality name" in capsys.readouterr().err
+    assert not (out / "meta.json").exists() and not (out / "edges.csv").exists()
 
 
 def test_non_utf8_config_is_config_error(tmp_path, capsys):
@@ -284,11 +302,18 @@ FUZZ_CONFIG = {
     "train": {"kind": "supra", "lr": 0.01, "max_epochs": 1, "patience": 1, "seed": 3,
               "hidden": 4, "num_layers": 1, "alpha": 0.5, "dropout": 0.1, "smoothing": 0.1,
               "weight_decay": 1e-4, "lambda_aux": 0.7, "supra_variant": "full"},
+    "sweep": {"scales": [0.0], "kinds": ["ef-mlp"], "seeds": [0]},
+    "probe": {"kinds": [["supra-base", {"kind": "supra", "supra_variant": "base"}]],
+              "seeds": [0]},
 }
+_SEED_ENTRIES = [("sweep", "seeds", 0), ("probe", "seeds", 0)]
 _FUZZ_PATHS = ([(section,) for section in FUZZ_CONFIG]
                + [(section, key) for section in FUZZ_CONFIG for key in FUZZ_CONFIG[section]]
                + [("synthetic", "modalities", 0, key)
-                  for key in FUZZ_CONFIG["synthetic"]["modalities"][0]])
+                  for key in FUZZ_CONFIG["synthetic"]["modalities"][0]]
+               + _SEED_ENTRIES)
+# the command that reads each of these sections; gen and train read the others
+_FUZZ_COMMANDS = {"sweep": "sweep-noise", "probe": "corrupt"}
 _DROP = object()
 # wrong types only: a wrong magnitude (say a huge num_nodes) would size arrays
 _WRONG_TYPES = st.sampled_from(["x", ["x"], [], {"x": 1}, None, True, False, _DROP])
@@ -305,7 +330,7 @@ def fuzz_data(tmp_path_factory):
 
 
 @given(path=st.sampled_from(_FUZZ_PATHS), value=_WRONG_TYPES)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_fuzzed_config_ends_in_a_typed_error(fuzz_data, tmp_path_factory, path, value):
     doc = json.loads(json.dumps(FUZZ_CONFIG))
     *parents, last = path
@@ -321,10 +346,16 @@ def test_fuzzed_config_ends_in_a_typed_error(fuzz_data, tmp_path_factory, path, 
     config.write_text(json.dumps(doc))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        codes = [main(["gen", "--config", str(config), "--out", str(d / "data")]),
-                 main(["train", "--config", str(config), "--data", fuzz_data])]
+        if path[0] in _FUZZ_COMMANDS:
+            codes = [main([_FUZZ_COMMANDS[path[0]], "--config", str(config), "--data", fuzz_data,
+                           "--out", str(d / "out.csv")])]
+        else:
+            codes = [main(["gen", "--config", str(config), "--out", str(d / "data")]),
+                     main(["train", "--config", str(config), "--data", fuzz_data])]
     assert all(code in (0, 2, 3) for code in codes), (codes, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if path in _SEED_ENTRIES and value is not _DROP:      # no wrong type is a seed
+        assert codes == [2], (codes, err.getvalue())
 
 
 # ---------------------------------------------------------------------------

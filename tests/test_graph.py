@@ -181,6 +181,7 @@ def _spec(**fields):
     ("split_fracs", (0.6, "0.2", 0.2)), ("split_fracs", (0.6, 0.2)), ("split_fracs", "abc"),
     ("seed", -1), ("seed", "x"), ("seed", 1.5), ("seed", None),
     ("dim", "16"), ("dim", 4.0), ("signal_norm", "x"), ("noise_var", None), ("name", 3),
+    ("name", ""), ("name", "te/xt"), ("name", "te\0xt"),
 ])
 def test_spec_rejects_bad_value(field, value):
     _spec()                                         # the base spec is valid

@@ -20,7 +20,8 @@ def build(mag, seed=0, **kwargs):
 def unfolded_synergy_logits(model, mag, out):
     """stack(h_s) @ W_head + b with head_s kept out of the stack: the
     reference for the folded synergy pathway's ``synergy_logits``."""
-    h_s = T.concat_cols([out["z_unique"][name] for name, _ in model.modalities])
+    h_s = T.Tensor(np.concatenate([out["z_unique"][name].data for name, _ in model.modalities],
+                                  axis=1))
     z_s = model.stack.forward(h_s, mag.adjacency, model.wrap(None), "synergy")
     return z_s.data @ model.params["head_s.w"] + model.params["head_s.b"]
 

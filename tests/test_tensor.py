@@ -20,29 +20,33 @@ from magsim.graph import ModalitySpec, SyntheticSpec, generate
 # forward semantics
 # ---------------------------------------------------------------------------
 
+# linear without a bias is the plain product x @ w
+
 def test_matmul_identity():
     m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    out = T.matmul(T.Tensor(np.eye(2)), T.Tensor(m))
+    out = T.linear(T.Tensor(np.eye(2)), T.Tensor(m))
     assert np.array_equal(out.data, m)
 
 
 def test_matmul_hand_arithmetic():
-    out = T.matmul(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), T.Tensor([[1.0], [1.0]]))
+    out = T.linear(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), T.Tensor([[1.0], [1.0]]))
     assert np.array_equal(out.data, [[3.0], [7.0]])
 
 
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
-        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
+        T.linear(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
 
 
 def test_relu_example():
     assert np.array_equal(T.relu(T.Tensor([[-1.0, 2.0]])).data, [[0.0, 2.0]])
 
 
-def test_concat_example():
-    out = T.concat_cols([T.Tensor([[1.0]]), T.Tensor([[2.0]])])
-    assert np.array_equal(out.data, [[1.0, 2.0]])
+def test_linear_blocks_example():
+    # [1, 2] @ [[3], [4]] + 5, the blocks [1] and [2] meeting rows 0 and 1 of w
+    out = T.linear([T.Tensor([[1.0]]), T.Tensor([[2.0]])], T.Tensor([[3.0], [4.0]]),
+                   T.Tensor([[5.0]]))
+    assert np.array_equal(out.data, [[16.0]])
 
 
 def test_add_bias_broadcast():
@@ -183,7 +187,7 @@ def test_add_operand_gradients_accumulate_independently():
 def test_tape_isolation_detached_ops():
     tape = T.Tape()
     before = len(tape)
-    T.matmul(T.Tensor(np.ones((2, 2)), None), T.Tensor(np.ones((2, 2)), None))
+    T.linear(T.Tensor(np.ones((2, 2)), None), T.Tensor(np.ones((2, 2)), None))
     T.relu(T.Tensor(np.ones((2, 2)), None))
     assert len(tape) == before
 
@@ -201,7 +205,7 @@ def test_gradient_determinism():
         tape = T.Tape()
         x = T.Tensor(rng.standard_normal((4, 3)), tape)
         w = T.Tensor(rng.standard_normal((3, 2)), tape)
-        loss = T.cross_entropy_smoothed(T.matmul(T.relu(x), w),
+        loss = T.cross_entropy_smoothed(T.linear(T.relu(x), w),
                                         np.array([0, 1, 0, 1]), 0.1)
         tape.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
@@ -219,7 +223,7 @@ def test_linear_equals_matmul_plus_bias_bit_for_bit():
     def run(fused):
         tape = T.Tape()
         leaves = [T.Tensor(v, tape) for v in (x, w, b)]
-        out = T.linear(*leaves) if fused else T.add(T.matmul(*leaves[:2]), leaves[2])
+        out = T.linear(*leaves) if fused else T.add(T.linear(*leaves[:2]), leaves[2])
         nodes = len(tape)
         tape.backward(T.sum_all(T.mul(out, T.Tensor(c))))
         return out.data, [t.grad for t in leaves], nodes
@@ -236,6 +240,37 @@ def test_linear_shape_errors():
         T.linear(x, w, T.Tensor(np.ones((2, 4))))     # a bias is one row
     with pytest.raises(ShapeError):
         T.linear(x, T.Tensor(np.ones((2, 4))), T.Tensor(np.ones((1, 4))))
+    with pytest.raises(ShapeError):
+        T.linear([], w)
+    with pytest.raises(ShapeError):
+        T.linear([x, T.Tensor(np.ones((2, 1)))], w)     # the blocks are 4 columns wide
+    with pytest.raises(ShapeError):
+        T.linear([T.Tensor(np.ones((2, 2))), T.Tensor(np.ones((3, 1)))], w)   # row counts
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_block_linear_equals_concat_then_product(bias):
+    """linear over column blocks against NumPy's concat-then-product: the
+    value and every gradient, with one tape node for the whole op."""
+    rng = np.random.default_rng(8)
+    blocks = [rng.standard_normal((9, d)) for d in (2, 5, 3)]
+    w, b = rng.standard_normal((10, 4)), rng.standard_normal((1, 4))
+    c = rng.standard_normal((9, 4))
+    tape = T.Tape()
+    xs = [T.Tensor(x, tape) for x in blocks]
+    tw, tb = T.Tensor(w, tape), T.Tensor(b, tape) if bias else None
+    out = T.linear(xs, tw, tb)
+    assert len(tape) == 1
+    tape.backward(T.sum_all(T.mul(out, T.Tensor(c))))
+
+    x = np.concatenate(blocks, axis=1)
+    assert np.max(np.abs(out.data - (x @ w + (b if bias else 0.0)))) < 1e-12
+    assert np.max(np.abs(tw.grad - x.T @ c)) < 1e-12
+    grad_x = c @ w.T
+    for t, lo, hi in zip(xs, (0, 2, 7), (2, 7, 10)):
+        assert np.max(np.abs(t.grad - grad_x[:, lo:hi])) < 1e-12
+    if bias:
+        assert np.max(np.abs(tb.grad - c.sum(axis=0, keepdims=True))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +285,7 @@ def test_backward_gives_grad_to_leaves_only_and_empties_the_tape():
     w2 = T.Tensor(rng.standard_normal((4, 2)), tape)
     pre = T.linear(x, w, b)
     h = T.dropout(T.relu(pre), 0.5, rng)
-    logits = T.matmul(h, w2)
+    logits = T.linear(h, w2)
     loss = T.cross_entropy_smoothed(T.row_select(logits, [0, 2, 5]), np.array([0, 1, 1]), 0.1)
     assert len(tape) == 6
     tape.backward(loss)
@@ -273,33 +308,59 @@ def test_forward_drops_the_pre_activation_while_the_tape_lives():
     assert np.array_equal(b.grad, (h.data > 0).sum(axis=0, keepdims=True).astype(float))
 
 
+MEM_N, MEM_HIDDEN = 2000, 64
+
+
+def _memory_model(kind):
+    mag = generate(SyntheticSpec(MEM_N, 4, [ModalitySpec("text", 16, 1.0, 0.2),
+                                            ModalitySpec("visual", 16, 1.0, 0.8)],
+                                 homophily=0.8, mean_degree=10, seed=3))
+    cfg = TrainConfig(kind=kind, lambda_aux=0.7, hidden=MEM_HIDDEN, num_layers=2)
+    return mag, build_model(cfg, mag, np.random.default_rng(0))
+
+
+def _training_step(mag, model, rng):
+    tape = T.Tape()
+    out = model.forward(mag, tape=tape, rng=rng)
+    tape.backward(model.loss(out, mag.labels, mag.splits["train"])["total"])
+
+
+def _peak_units(run, *args):
+    """tracemalloc's peak above the start while ``run(*args)`` runs, in
+    N x hidden float64 arrays."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (MEM_N * MEM_HIDDEN * 8)
+
+
 def test_supra_training_step_peak_memory():
     """forward + loss + backward of supra at N=2k, counted in N x hidden
     float64 arrays; a tape that holds every activation and every
     intermediate gradient until backward ends peaks at 27.7 here."""
-    n, hidden = 2000, 64
-    mag = generate(SyntheticSpec(n, 4, [ModalitySpec("text", 16, 1.0, 0.2),
-                                        ModalitySpec("visual", 16, 1.0, 0.8)],
-                                 homophily=0.8, mean_degree=10, seed=3))
-    cfg = TrainConfig(kind="supra", lambda_aux=0.7, hidden=hidden, num_layers=2)
-    model = build_model(cfg, mag, np.random.default_rng(0))
-
-    def step(rng):
-        tape = T.Tape()
-        out = model.forward(mag, tape=tape, rng=rng)
-        tape.backward(model.loss(out, mag.labels, mag.splits["train"])["total"])
-        return out
-
-    step(np.random.default_rng(1))          # fills the adjacency's operator caches
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        step(np.random.default_rng(2))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    units = peak / (n * hidden * 8)
+    mag, model = _memory_model("supra")
+    _training_step(mag, model, np.random.default_rng(1))   # fills the operator caches
+    units = _peak_units(_training_step, mag, model, np.random.default_rng(2))
     assert units <= 12.0, f"peak {units:.1f} N x hidden arrays"
+
+
+def test_block_linear_forms_no_concat():
+    """supra's synergy layer and sage-concat's ego-concat layer read their
+    column blocks in place; building the concat on the tape peaked at 8.0
+    (supra's training step) and 7.9 (sage-concat's taped forward) here."""
+    mag, model = _memory_model("supra")
+    _training_step(mag, model, np.random.default_rng(1))
+    units = _peak_units(_training_step, mag, model, np.random.default_rng(2))
+    assert units <= 7.0, f"supra step peak {units:.1f} N x hidden arrays"
+
+    mag, model = _memory_model("sage-concat")
+    model.forward(mag)
+    units = _peak_units(lambda: model.forward(mag, tape=T.Tape(), rng=np.random.default_rng(2)))
+    assert units <= 6.0, f"sage-concat forward peak {units:.1f} N x hidden arrays"
 
 
 # ---------------------------------------------------------------------------
