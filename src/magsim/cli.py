@@ -17,11 +17,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, fields
 
+import numpy as np
+
 from .errors import ConfigError, ContractError, DatasetError, MagsimError
 from .experiments import (NumericError, TrainConfig, corruption_probe,
                           derive_seed, sweep_noise, track_gradients, train,
                           write_csv, write_manifest)
-from .graph import ModalitySpec, SyntheticSpec, calibrate, generate, load, save
+from .graph import ModalitySpec, SyntheticSpec, _row_mean, calibrate, generate, load, save
 from .theory import tau
 from .validation import ALL_CHECKS
 
@@ -119,10 +121,10 @@ def train_config(doc: dict, seed_override=None) -> TrainConfig:
 def _print_dataset_stats(mag, alpha: float):
     for name in mag.features:
         beta_hat, sigma_n = calibrate(mag, name)
-        sig = mag.signals[name]
+        x, sig = mag.features[name], mag.signals[name]
         signal_sq = float((sig[0] ** 2).sum())
-        resid = mag.features[name] - sig[mag.labels]
-        eps_sq = float((resid ** 2).sum(axis=1).mean())
+        eps_sq = _row_mean(lambda rows: ((x[rows] - sig[mag.labels[rows]]) ** 2).sum(axis=1),
+                           np.arange(mag.num_nodes))
         snr = signal_sq / eps_sq if eps_sq else float("inf")
         print(f"{name}: beta_hat={beta_hat:.4f} sigma_n_sq={sigma_n:.4f} "
               f"snr_int={snr:.3f} tau={tau(alpha, beta_hat, sigma_n):.4f}")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +33,19 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     mask (np.unique itself may take a far slower hash path)."""
     keys = np.sort(keys)
     return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
+
+
+_BLOCK_ROWS = 1024      # rows per block of an N-sized pass: its temporaries stay small
+
+
+def _row_mean(fn, rows: np.ndarray) -> float:
+    """The mean over ``rows`` of the per-row values that fn gives for each
+    block of at most _BLOCK_ROWS of them: bit for bit the mean of one pass
+    over all rows, with block-sized temporaries."""
+    values = np.empty(rows.size)
+    for i in range(0, rows.size, _BLOCK_ROWS):
+        values[i:i + _BLOCK_ROWS] = fn(rows[i:i + _BLOCK_ROWS])
+    return float(np.mean(values))
 
 
 def _same(a, b) -> bool:
@@ -65,7 +80,7 @@ class CsrMatrix:
             raise ShapeError("col_indices and values length mismatch")
         if ci.size and (ci.min() < 0 or ci.max() >= self.num_cols):
             raise ShapeError(f"column index out of range [0,{self.num_cols})")
-        bad = np.diff(ci) <= 0
+        bad = ci[1:] <= ci[:-1]
         starts = ro[1:-1]
         bad[starts[(starts > 0) & (starts < ci.size)] - 1] = False   # pairs across rows
         if bad.any():
@@ -94,13 +109,17 @@ class CsrMatrix:
 
     @classmethod
     def from_undirected_edges(cls, pairs: np.ndarray, num_nodes: int) -> "CsrMatrix":
-        """Build a symmetric 0/1 adjacency from unique undirected pairs."""
+        """Build a symmetric 0/1 adjacency from unique undirected pairs: the
+        sorted keys a*N+b and b*N+a, modulo N, are the column indices."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
-        order = np.argsort(src * num_nodes + dst)    # unique keys: the lexsort order
-        src, dst = src[order], dst[order]
-        offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=num_nodes))])
-        return cls(num_nodes, num_nodes, offsets, dst, np.ones(dst.shape[0]))
+        keys = np.empty((2, len(pairs)), dtype=np.int64)
+        np.multiply(pairs.T, num_nodes, out=keys)          # a*N over b*N
+        keys += pairs.T[::-1]                              # + b over + a
+        keys = keys.ravel()
+        keys.sort()
+        np.remainder(keys, num_nodes, out=keys)
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(pairs.ravel(), minlength=num_nodes))])
+        return cls(num_nodes, num_nodes, offsets, keys, np.ones(keys.shape[0]))
 
     def row_normalize(self) -> "CsrMatrix":
         """Cached copy with each nonempty row divided by its sum (mean
@@ -298,9 +317,13 @@ def generate(spec: SyntheticSpec) -> Mag:
     signals, features, modalities = {}, {}, []
     for m in spec.modalities:
         sig = _orthogonal_signals(rng, m.dim, c, m.signal_norm)
-        noise = rng.standard_normal((n, m.dim)) * np.sqrt(m.noise_var / m.dim)
+        x = rng.standard_normal((n, m.dim))
+        x *= np.sqrt(m.noise_var / m.dim)
+        for i in range(0, n, _BLOCK_ROWS):   # plus the class signal, on the float32 grid
+            b = slice(i, i + _BLOCK_ROWS)
+            x[b] = (x[b] + sig[labels[b]]).astype(np.float32)
         signals[m.name] = sig
-        features[m.name] = _f32_grid(sig[labels] + noise)
+        features[m.name] = x
         modalities.append((m.name, m.dim))
 
     pairs = _draw_edges(rng, labels, c, n, spec.mean_degree, spec.homophily)
@@ -329,16 +352,17 @@ def calibrate(mag: Mag, modality: str) -> tuple:
         raise ContractError("calibration needs stored class signals (synthetic data)")
     if modality not in mag.features:
         raise ContractError(f"unknown modality {modality!r}")
-    active = mag.adjacency.degrees > 0
-    if not active.any():
+    active = np.flatnonzero(mag.adjacency.degrees > 0)
+    if not active.size:
         raise ContractError("calibration needs at least one non-isolated node")
-    xbar = (mag.adjacency.row_normalize().scipy() @ mag.features[modality])[active]
-    sig = mag.signals[modality][mag.labels[active]]
-    beta = float(np.mean(np.sum(xbar * sig, axis=1) / np.sum(sig ** 2, axis=1)))
-    resid = beta * sig                       # in place from here: one N x d temporary
-    np.subtract(xbar, resid, out=resid)
-    resid **= 2
-    return beta, float(np.mean(np.sum(resid, axis=1)))
+    xbar = mag.adjacency.row_normalize().scipy() @ mag.features[modality]
+    sig = mag.signals[modality]
+
+    def mean(fn):       # of fn(neighborhood means, own class signals) over the active rows
+        return _row_mean(lambda rows: fn(xbar[rows], sig[mag.labels[rows]]), active)
+
+    beta = mean(lambda x, s: np.sum(x * s, axis=1) / np.sum(s ** 2, axis=1))
+    return beta, mean(lambda x, s: np.sum((x - beta * s) ** 2, axis=1))
 
 
 def inject_noise(mag: Mag, scale: float, seed: int) -> Mag:
@@ -376,7 +400,26 @@ def corrupt_modality(mag: Mag, modality: str, seed: int) -> Mag:
 # ---------------------------------------------------------------------------
 
 def save(mag: Mag, directory: str):
+    """Write the dataset into ``directory``, all or nothing: the files are
+    written into a temporary directory inside it and moved into place only
+    once every one of them exists, so an error leaves none of them behind."""
     os.makedirs(directory, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".save-", dir=directory)
+    moved = []
+    try:
+        _write_files(mag, staging)
+        for name in os.listdir(staging):
+            os.replace(os.path.join(staging, name), os.path.join(directory, name))
+            moved.append(name)
+    except BaseException:
+        for name in moved:
+            os.remove(os.path.join(directory, name))
+        raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _write_files(mag: Mag, directory: str):
     meta = {"num_nodes": mag.num_nodes, "num_classes": mag.num_classes,
             "modalities": [{"name": name, "dim": dim} for name, dim in mag.modalities],
             "splits": {k: mag.splits[k].tolist() for k in ("train", "val", "test")},
@@ -384,14 +427,15 @@ def save(mag: Mag, directory: str):
     with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta))
 
-    adj = mag.adjacency
-    src = np.repeat(np.arange(mag.num_nodes), adj.degrees)
-    upper = src < adj.col_indices                # each undirected edge once
-    flat = np.stack([src[upper], adj.col_indices[upper]], axis=1).ravel()
+    ro, ci = mag.adjacency.row_offsets, mag.adjacency.col_indices
     with open(os.path.join(directory, "edges.csv"), "w", encoding="utf-8") as fh:
-        for i in range(0, flat.size, 1 << 17):            # 64k edges per write
-            chunk = flat[i:i + (1 << 17)].tolist()
-            fh.write("%d,%d\n" * (len(chunk) // 2) % tuple(chunk))
+        for i in range(0, mag.num_nodes, _BLOCK_ROWS):   # each undirected edge once
+            j = min(i + _BLOCK_ROWS, mag.num_nodes)
+            src = np.repeat(np.arange(i, j), np.diff(ro[i:j + 1]))
+            dst = ci[ro[i]:ro[j]]
+            upper = src < dst
+            flat = np.stack([src[upper], dst[upper]], axis=1).ravel().tolist()
+            fh.write("%d,%d\n" * (len(flat) // 2) % tuple(flat))
 
     for name, _dim in mag.modalities:
         mag.features[name].astype("<f4").tofile(os.path.join(directory, f"feat_{name}.f32"))
@@ -477,6 +521,7 @@ def load(directory: str) -> Mag:
         adjacency = CsrMatrix.from_undirected_edges(pairs, n)
     except ShapeError as exc:               # a row with a repeated column
         raise DatasetError(f"{edges_path}: self-loop or duplicate edge ({exc})")
+    del pairs                               # 16 bytes an edge, freed before the features are read
 
     features, signals = {}, {}
     for name, dim in modalities:

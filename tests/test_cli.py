@@ -265,6 +265,21 @@ def test_gen_with_a_name_no_file_can_have_writes_nothing(tmp_path, capsys, name)
     assert not (out / "meta.json").exists() and not (out / "edges.csv").exists()
 
 
+def test_gen_that_cannot_write_a_file_leaves_no_file_it_wrote(tmp_path, capsys):
+    # a name the file system rejects for its length passes the config check
+    # and fails only when feat_<name>.f32 is written, after meta.json and edges.csv
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["synthetic"]["modalities"][0]["name"] = "x" * 300
+    path = tmp_path / "long_name.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine")
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == 3
+    assert "I/O error" in capsys.readouterr().err
+    assert os.listdir(out) == ["notes.txt"] and (out / "notes.txt").read_text() == "mine"
+
+
 def test_non_utf8_config_is_config_error(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"train": {"kind": "ef-mlp"}} \xe9'.encode("latin-1"))

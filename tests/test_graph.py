@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import three_node_mag
 from magsim import graph
+from magsim.cli import _print_dataset_stats
 from magsim.errors import ContractError, DatasetError, ShapeError
 from magsim.graph import (CsrMatrix, Mag, ModalitySpec, SyntheticSpec,
                           _sorted_unique, calibrate, corrupt_modality, generate,
@@ -282,6 +283,42 @@ def test_calibration_peak_memory_is_that_of_the_alignment(census_mag):
     assert _peak_bytes(lambda: calibrate(census_mag, "text")) < alignment + one_array / 2
 
 
+def test_calibration_over_several_row_blocks_is_bit_for_bit():
+    # mean degree 2 leaves about 13% of the nodes isolated; the rest span
+    # three blocks of active rows
+    mag = generate(SyntheticSpec(3000, 3, [ModalitySpec("text", 8, 1.0, 0.5)],
+                                 homophily=0.7, mean_degree=2, seed=21))
+    degrees = mag.adjacency.degrees
+    assert (degrees == 0).any() and np.count_nonzero(degrees) > 2 * graph._BLOCK_ROWS
+    assert calibrate(mag, "text") == _reference_calibration(mag, "text")
+
+
+def test_row_block_mean_equals_the_unblocked_mean():
+    x = np.random.default_rng(8).standard_normal((2 * graph._BLOCK_ROWS + 77, 5))
+    rows = np.arange(x.shape[0])
+    assert graph._row_mean(lambda r: (x[r] ** 2).sum(axis=1), rows) == \
+        (x ** 2).sum(axis=1).mean()
+    assert graph._row_mean(lambda r: (x[r] ** 2).sum(axis=1), rows[::3]) == \
+        (x[::3] ** 2).sum(axis=1).mean()
+
+
+@pytest.fixture(scope="module")
+def mag_20k():
+    """N = 20k, E about 100k, two 16-wide modalities."""
+    return generate(SyntheticSpec(20000, 4, [ModalitySpec("text", 16, 1.0, 0.2),
+                                             ModalitySpec("visual", 16, 1.0, 0.8)],
+                                  seed=3))
+
+
+def test_dataset_stats_peak_memory_is_under_two_feature_arrays(mag_20k, capsys):
+    # the calibration's neighborhood means are the one N x d temporary; the
+    # residual passes run in row blocks (full-size passes held 4.1 arrays)
+    mag_20k.adjacency.row_normalize().scipy()
+    one_array = mag_20k.features["text"].nbytes
+    assert _peak_bytes(lambda: _print_dataset_stats(mag_20k, 0.5)) <= 2 * one_array
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 @pytest.mark.parametrize("homophily,seed,outside", [(1.0, 2, lambda b: b > 1.0),
                                                      (0.02, 4, lambda b: b < 0.0)],
                          ids=["above-one", "below-zero"])
@@ -488,6 +525,30 @@ def test_save_is_byte_deterministic(small_mag, tmp_path):
         assert b1 == b2, name
 
 
+@pytest.mark.parametrize("name", ["x" * 300, "te/xt"], ids=["too-long", "slash"])
+def test_save_that_fails_leaves_no_file_of_the_dataset(tmp_path, name):
+    mag = three_node_mag()
+    mag = Mag(3, 2, [(name, 2)], {name: mag.features["text"]}, mag.labels, mag.splits,
+              mag.adjacency)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("not part of the dataset")
+    with pytest.raises(OSError):
+        save(mag, str(out))
+    assert os.listdir(out) == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "not part of the dataset"
+
+
+def test_save_that_fails_moving_a_file_into_place_takes_back_the_ones_moved(tmp_path):
+    # a directory where feat_text.f32 belongs: meta.json and edges.csv are
+    # moved into place before the move of the features fails
+    out = tmp_path / "out"
+    (out / "feat_text.f32").mkdir(parents=True)
+    with pytest.raises(OSError):
+        save(three_node_mag(), str(out))
+    assert os.listdir(out) == ["feat_text.f32"]
+
+
 # ---------------------------------------------------------------------------
 # vectorised edge writer and parser
 # ---------------------------------------------------------------------------
@@ -550,11 +611,11 @@ def test_edge_round_trip_cases(tmp_path, n, pairs):
 
 
 def test_save_writes_edges_in_bounded_chunks(tmp_path):
-    # more edges than one formatting chunk (64k edges) of the writer
-    n = 500
-    pairs = {(a, b) for a in range(n) for b in range(a + 1, min(n, a + 200))}
+    # the writer formats one block of rows at a time: three blocks here, with
+    # edges across each boundary between blocks
+    n = 2 * graph._BLOCK_ROWS + 5
+    pairs = {(a, b) for a in range(n) for b in range(a + 1, min(n, a + 40))}
     mag = graph_with_edges(n, pairs)
-    assert len(pairs) > 1 << 16
     _round_trip(mag, str(tmp_path / "ds"))
 
 
@@ -793,6 +854,58 @@ def test_key_argsort_matches_lexsort():
         assert np.array_equal(adj.col_indices, dst[order])
         assert np.array_equal(adj.row_offsets,
                               np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]))
+
+
+def _argsort_csr(pairs, n):
+    """row_offsets, col_indices and values of the argsort construction that
+    the sort-only build replaced."""
+    src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+    order = np.argsort(src * n + dst)
+    src, dst = src[order], dst[order]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return offsets, dst, np.ones(dst.shape[0])
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "flipped", "empty"])
+def test_sort_only_csr_build_matches_the_argsort_build(order):
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = int(rng.integers(1, 80))
+        a, b = rng.integers(0, n, (2, int(rng.integers(0, 300))))
+        keys = _sorted_unique(np.minimum(a, b) * n + np.maximum(a, b))
+        pairs = np.stack(np.divmod(keys, n), axis=1)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        if order == "shuffled":
+            pairs = pairs[rng.permutation(pairs.shape[0])]
+        elif order == "flipped":                  # some pairs given as (hi, lo)
+            flip = rng.random(pairs.shape[0]) < 0.5
+            pairs[flip] = pairs[flip, ::-1]
+        elif order == "empty":
+            pairs = pairs[:0]
+        adj = CsrMatrix.from_undirected_edges(pairs, n)
+        for got, want in zip((adj.row_offsets, adj.col_indices, adj.values),
+                             _argsort_csr(pairs, n)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("pairs", [[(0, 1), (2, 2)], [(1, 1)], [(0, 1), (0, 1)],
+                                   [(0, 1), (1, 2), (1, 0)]],
+                         ids=["self-loop", "only-a-self-loop", "repeated", "reversed"])
+def test_sort_only_csr_build_rejects_a_self_loop_or_duplicate(pairs):
+    with pytest.raises(ShapeError, match="not strictly increasing"):
+        CsrMatrix.from_undirected_edges(np.array(pairs), 3)
+
+
+def test_csr_build_peak_memory_is_under_three_and_a_half_key_arrays(mag_20k):
+    # the 2E keys are sorted in place and become the column indices; the
+    # argsort build held 5.2 arrays of 2E int64 at once
+    adj = mag_20k.adjacency
+    src = np.repeat(np.arange(adj.num_rows), adj.degrees)
+    upper = src < adj.col_indices
+    pairs = np.stack([src[upper], adj.col_indices[upper]], axis=1)
+    key_array = 2 * pairs.shape[0] * 8
+    assert _peak_bytes(lambda: CsrMatrix.from_undirected_edges(pairs, adj.num_rows)) \
+        <= 3.5 * key_array
 
 
 def test_row_normalize_is_cached_once_per_matrix(small_mag):
