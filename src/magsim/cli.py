@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import logging
-import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,12 +19,11 @@ from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DatasetError, MagsimError
-from .experiments import (NumericError, TrainConfig, corruption_probe,
-                          derive_seed, sweep_noise, track_gradients, train,
+from .errors import ConfigError, ContractError, DatasetError, MagsimError, check_number
+from .experiments import (NumericError, TrainConfig, calibration_table,
+                          corruption_probe, sweep_noise, track_gradients, train,
                           write_csv, write_manifest)
-from .graph import ModalitySpec, SyntheticSpec, _row_mean, calibrate, generate, load, save
-from .theory import tau
+from .graph import ModalitySpec, SyntheticSpec, generate, intrinsic_noise, load, save
 from .validation import ALL_CHECKS
 
 log = logging.getLogger("magsim")
@@ -54,7 +53,8 @@ def _check_keys(doc: dict, allowed, context: str):
 
 def _section(doc: dict, name: str, defaults: dict) -> dict:
     """The config's ``name`` object laid over ``defaults``: it may set no
-    other key, and a value whose default is a list (or tuple) must be a list."""
+    other key, a value whose default is a list (or tuple) must be a list, and
+    each of its ``seeds`` an integer >= 0."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: must be an object, got {section!r:.40}")
@@ -63,6 +63,8 @@ def _section(doc: dict, name: str, defaults: dict) -> dict:
     for key, default in defaults.items():
         if isinstance(default, (list, tuple)) and not isinstance(merged[key], (list, tuple)):
             raise ConfigError(f"{name}.{key}: must be a list, got {merged[key]!r:.40}")
+    for seed in merged.get("seeds", ()):
+        check_number(f"{name}.seeds", seed, integer=True, low=0)
     return merged
 
 
@@ -74,11 +76,6 @@ def _check_pairs(pairs: list, context: str):
             raise ConfigError(f"{context}: expected [name, {{overrides}}] pairs, "
                               f"got {pair!r:.40}")
         _check_keys(pair[1], TRAIN, f"{context} {pair[0]!r}")
-
-
-def _check_seeds(seeds: list, context: str):
-    if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 0 for s in seeds):
-        raise ConfigError(f"{context}: entries must be integers >= 0, got {seeds!r:.40}")
 
 
 def load_config(path: str | None) -> dict:
@@ -119,15 +116,11 @@ def train_config(doc: dict, seed_override=None) -> TrainConfig:
 
 
 def _print_dataset_stats(mag, alpha: float):
-    for name in mag.features:
-        beta_hat, sigma_n = calibrate(mag, name)
-        x, sig = mag.features[name], mag.signals[name]
-        signal_sq = float((sig[0] ** 2).sum())
-        eps_sq = _row_mean(lambda rows: ((x[rows] - sig[mag.labels[rows]]) ** 2).sum(axis=1),
-                           np.arange(mag.num_nodes))
+    for name, info in calibration_table(mag, alpha).items():
+        signal_sq, eps_sq = float((mag.signals[name][0] ** 2).sum()), intrinsic_noise(mag, name)
         snr = signal_sq / eps_sq if eps_sq else float("inf")
-        print(f"{name}: beta_hat={beta_hat:.4f} sigma_n_sq={sigma_n:.4f} "
-              f"snr_int={snr:.3f} tau={tau(alpha, beta_hat, sigma_n):.4f}")
+        print(f"{name}: beta_hat={info['beta_hat']:.4f} sigma_n_sq={info['sigma_n_sq_hat']:.4f} "
+              f"snr_int={snr:.3f} tau={info['tau']:.4f}")
 
 
 def cmd_gen(args) -> int:
@@ -161,14 +154,22 @@ def _load_data(path: str):
     return load(path)
 
 
+def _one_blas_thread():
+    """Numpy's OpenBLAS at one thread in this process (a pool worker), if it has one."""
+    with contextlib.suppress(AttributeError, OSError):
+        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+        setter.argtypes, setter.restype = (ctypes.c_int,), None
+        setter(1)
+
+
 @contextlib.contextmanager
 def _pool_map(jobs: int):
-    """``map`` for one job, else the map of a process pool that is shut
-    down, its workers joined, when the block exits."""
+    """``map`` for one job, else the map of a process pool (workers at one BLAS
+    thread) that is shut down, its workers joined, when the block exits."""
     if jobs <= 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
         yield pool.map
 
 
@@ -176,18 +177,16 @@ def cmd_sweep_noise(args) -> int:
     doc = load_config(args.config)
     sweep = _section(doc, "sweep", SWEEP)
     scales = args.scales if args.scales is not None else sweep["scales"]
-    for scale in scales:
-        if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
-            raise ConfigError(f"sweep.scales: {scale!r:.40} is not a number")
     kinds, seeds = sweep["kinds"], sweep["seeds"]
-    _check_seeds(seeds, "sweep.seeds")
+    for scale in scales:
+        check_number("sweep.scales", scale, low=0)
     cfg = train_config(doc, args.seed)
     mag = _load_data(args.data)
     with _pool_map(args.jobs) as pool_map:
         rows, annotation = sweep_noise(mag, scales, kinds, seeds, cfg,
                                        pool_map=pool_map)
     write_csv(args.out, "sweep", rows)
-    write_manifest(args.out + ".manifest.json", asdict(cfg), cfg.seed,
+    write_manifest(args.out + ".manifest.json", cfg,
                    {"scales": scales, "kinds": kinds, "seeds": seeds,
                     "annotation": annotation})
     for name, info in annotation["modalities"].items():
@@ -204,9 +203,9 @@ def cmd_track_grads(args) -> int:
     _check_pairs(variants, "grads.variants")
     cfg = train_config(doc, args.seed)
     mag = _load_data(args.data)
-    rows = track_gradients(mag, variants, epochs, cfg.seed, cfg)
+    rows = track_gradients(mag, variants, epochs, cfg)
     write_csv(args.out, "grads", rows)
-    write_manifest(args.out + ".manifest.json", asdict(cfg), cfg.seed,
+    write_manifest(args.out + ".manifest.json", cfg,
                    {"variants": variants, "epochs": epochs})
     print(f"{len(rows)} rows -> {args.out}")
     return EXIT_OK
@@ -217,13 +216,12 @@ def cmd_corrupt(args) -> int:
     probe = _section(doc, "probe", PROBE)
     kinds, seeds = probe["kinds"], probe["seeds"]
     _check_pairs(kinds, "probe.kinds")
-    _check_seeds(seeds, "probe.seeds")
     cfg = train_config(doc, args.seed)
     mag = _load_data(args.data)
     dominant = mag.modality_names()[0] if probe["dominant"] is None else probe["dominant"]
     rows = corruption_probe(mag, kinds, dominant, seeds, cfg)
     write_csv(args.out, "probe", rows)
-    write_manifest(args.out + ".manifest.json", asdict(cfg), cfg.seed,
+    write_manifest(args.out + ".manifest.json", cfg,
                    {"kinds": kinds, "dominant": dominant, "seeds": seeds})
     for row in rows:
         print(f"{row['kind']} seed={row['seed']} F={row['F']:.4f} "

@@ -217,55 +217,53 @@ def train(mag: Mag, cfg: TrainConfig, return_model: bool = False):
 # Diagnostic protocols
 # ---------------------------------------------------------------------------
 
-def _cfg_for(kind: str, base: TrainConfig, seed: int) -> TrainConfig:
-    cfg = TrainConfig(**{**asdict(base), "kind": kind, "seed": seed})
-    if kind == "supra" and base.kind != "supra":
-        cfg.supra_variant = "base"
-    return cfg
+def _cell_config(base: TrainConfig, overrides: dict, *coords) -> TrainConfig:
+    """A protocol cell's config: ``overrides`` on ``base``, seeded by its coordinates."""
+    return TrainConfig(**{**asdict(base), **overrides, "seed": derive_seed(base.seed, *coords)})
+
+
+def calibration_table(mag: Mag, alpha: float) -> dict:
+    """beta_hat, sigma_n^2 hat and tau per modality; empty without class signals."""
+    table = {}
+    for name in mag.features if mag.signals is not None else ():
+        beta, sigma = calibrate(mag, name)
+        table[name] = {"beta_hat": beta, "sigma_n_sq_hat": sigma, "tau": tau(alpha, beta, sigma)}
+    return table
 
 
 def sweep_cell(args):
     """One noise-sweep cell; top level so process pools can pickle it."""
     mag, scale, kind, seed, base_cfg = args
     noisy = inject_noise(mag, scale, derive_seed(base_cfg.seed, "noise", repr(scale), seed))
-    cfg = _cfg_for(kind, base_cfg, derive_seed(base_cfg.seed, "train", repr(scale), kind, seed))
-    report = train(noisy, cfg)
+    variant = base_cfg.supra_variant if base_cfg.kind == "supra" else "base"   # supra reads it
+    report = train(noisy, _cell_config(base_cfg, {"kind": kind, "supra_variant": variant},
+                                       "train", repr(scale), kind, seed))
     return {"scale": scale, "kind": kind, "seed": seed,
             "acc": report.test_acc, "f1": report.test_f1}
 
 
 def sweep_noise(mag: Mag, scales, kinds, seeds, base_cfg: TrainConfig,
                 pool_map=map):
-    """Cartesian noise-injection sweep; also measures the alignment and
-    neighborhood-noise level of the base graph and reports tau for
-    annotation."""
+    """Cartesian noise-injection sweep, annotated with the calibration table
+    of the base graph (built first, so a graph it rejects trains nothing)."""
     scales, kinds, seeds = list(scales), list(kinds), list(seeds)
     if not scales or not kinds:
         raise ContractError("need at least one scale and one model kind")
-    annotation = {"modalities": {}}         # first, so a graph it rejects trains nothing
-    if mag.signals is not None:
-        for name in mag.features:
-            beta_hat, sigma_n = calibrate(mag, name)
-            annotation["modalities"][name] = {
-                "beta_hat": beta_hat, "sigma_n_sq_hat": sigma_n,
-                "tau": tau(base_cfg.alpha, beta_hat, sigma_n)}
+    annotation = {"modalities": calibration_table(mag, base_cfg.alpha)}
     cells = [(mag, scale, kind, seed, base_cfg)
              for scale in scales for kind in kinds for seed in seeds]
     return list(pool_map(sweep_cell, cells)), annotation
 
 
-def track_gradients(mag: Mag, variants, num_epochs: int, base_seed: int,
-                    base_cfg: TrainConfig):
+def track_gradients(mag: Mag, variants, num_epochs: int, base_cfg: TrainConfig):
     """Per-epoch per-branch gradient L2 norms for a set of named model
     configurations, trained for a fixed number of epochs."""
     if len(mag.modalities) < 2:
         raise ContractError("gradient tracking needs at least two modalities")
     rows = []
     for name, overrides in variants:
-        cfg = TrainConfig(**{**asdict(base_cfg), **overrides,
-                             "max_epochs": num_epochs, "patience": num_epochs,
-                             "seed": derive_seed(base_seed, "track", name)})
-        report = train(mag, cfg)
+        fixed = {**overrides, "max_epochs": num_epochs, "patience": num_epochs}
+        report = train(mag, _cell_config(base_cfg, fixed, "track", name))
         for row in report.epochs:
             for branch, norm in row["grad_norms"].items():
                 rows.append({"epoch": row["epoch"], "variant": name,
@@ -289,9 +287,8 @@ def corruption_probe(mag: Mag, kinds, dominant: str, seeds,
     rows = []
     for kind_name, overrides in kinds:
         for seed in seeds:
-            cfg = TrainConfig(**{**asdict(base_cfg), **overrides,
-                                 "seed": derive_seed(base_cfg.seed, "probe", seed)})
-            report, model = train(mag, cfg, return_model=True)
+            cfg = _cell_config(base_cfg, overrides, "probe", seed)
+            _, model = train(mag, cfg, return_model=True)
             corrupted = corrupt_modality(mag, dominant,
                                          derive_seed(base_cfg.seed, "corrupt", seed))
             f_score = macro_f1(predict(model, mag, test_idx), y_test, mag.num_classes)
@@ -325,8 +322,8 @@ def write_csv(path: str, schema: str, rows):
             fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
 
-def write_manifest(path: str, config: dict, seed: int, extra: dict):
-    doc = {"config": config, "seed": seed, "version": __version__, **extra}
+def write_manifest(path: str, cfg: TrainConfig, extra: dict):
+    doc = {"config": asdict(cfg), "seed": cfg.seed, "version": __version__, **extra}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")

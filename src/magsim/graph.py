@@ -365,6 +365,13 @@ def calibrate(mag: Mag, modality: str) -> tuple:
     return beta, mean(lambda x, s: np.sum((x - beta * s) ** 2, axis=1))
 
 
+def intrinsic_noise(mag: Mag, modality: str) -> float:
+    """eps^2 hat = E||x_v - s_v||^2 over all nodes: a modality's encoder noise."""
+    x, sig = mag.features[modality], mag.signals[modality]
+    return _row_mean(lambda rows: ((x[rows] - sig[mag.labels[rows]]) ** 2).sum(axis=1),
+                     np.arange(mag.num_nodes))
+
+
 def inject_noise(mag: Mag, scale: float, seed: int) -> Mag:
     """Add scale * sigma_feat * standard Gaussian to every modality, where
     sigma_feat is that modality's empirical feature standard deviation."""

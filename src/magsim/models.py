@@ -31,6 +31,16 @@ class Model:
         self.params[f"{name}.w"] = _he(rng, d_in, (d_in, d_out))
         self.params[f"{name}.b"] = np.zeros((1, d_out))
 
+    def add_stack(self, rng, prefix, stack: GnnStack) -> GnnStack:
+        """He-initialised weights for each layer of ``stack``, under ``prefix``."""
+        for name, shape in stack.param_shapes(prefix).items():
+            self.params[name] = _he(rng, shape[0], shape)
+        return stack
+
+    def encode(self, p, prefix, x, rng):
+        """relu of the ``prefix`` linear of x, then dropout (with an rng)."""
+        return T.dropout(T.relu(_linear(p, prefix, x)), self.dropout, rng)
+
     def wrap(self, tape):
         """Parameters as tensors on ``tape``; ``grads`` reads the last taped
         set, so an untaped (eval) forward leaves it in place."""
@@ -98,9 +108,7 @@ class MlpModel(Model):
         p = self.wrap(tape)
         # early fusion as column blocks: fc1 reads them in place of their concat
         x = [T.Tensor(mag.features[n], None) for n in self.modality_names]
-        h = T.relu(_linear(p, "fc1", x))
-        h = T.dropout(h, self.dropout, rng)
-        return {"logits": _linear(p, "head", h)}
+        return {"logits": _linear(p, "head", self.encode(p, "fc1", x, rng))}
 
 
 class JointGcn(Model):
@@ -114,17 +122,15 @@ class JointGcn(Model):
         super().__init__(dropout, smoothing)
         d_in = sum(dim for _, dim in mag.modalities)
         self.add_linear(rng, "proj", d_in, hidden)
-        self.stack = GnnStack(num_layers, alpha, hidden_dim=hidden, variant=variant)
-        for name, shape in self.stack.param_shapes("gnn").items():
-            self.params[name] = _he(rng, shape[0], shape)
+        self.stack = self.add_stack(
+            rng, "gnn", GnnStack(num_layers, alpha, hidden_dim=hidden, variant=variant))
         self.add_linear(rng, "head", hidden, mag.num_classes)
 
     def forward(self, mag, tape=None, rng=None):
         p = self.wrap(tape)
         x = [T.Tensor(mag.features[n], None) for n in mag.modality_names()]   # as column blocks
-        h = T.relu(_linear(p, "proj", x))
-        h = T.dropout(h, self.dropout, rng)
-        h = self.stack.forward(h, mag.adjacency, p, "gnn", head=p["head.w"])
+        h = self.stack.forward(self.encode(p, "proj", x, rng), mag.adjacency, p, "gnn",
+                               head=p["head.w"])
         return {"logits": T.add(h, p["head.b"])}
 
 
@@ -140,19 +146,15 @@ class IndependentAgg(Model):
         self.stacks = {}
         for name, dim in mag.modalities:
             self.add_linear(rng, f"proj_{name}", dim, hidden)
-            stack = GnnStack(num_layers, alpha, hidden_dim=hidden)
-            self.stacks[name] = stack
-            for pname, shape in stack.param_shapes(f"gnn_{name}").items():
-                self.params[pname] = _he(rng, shape[0], shape)
+            self.stacks[name] = self.add_stack(rng, f"gnn_{name}",
+                                               GnnStack(num_layers, alpha, hidden_dim=hidden))
         self.add_linear(rng, "head", hidden * len(mag.modalities), mag.num_classes)
 
     def forward(self, mag, tape=None, rng=None):
         p = self.wrap(tape)
         logits = None
         for i, (name, _dim) in enumerate(mag.modalities):
-            x = T.Tensor(mag.features[name], None)
-            h = T.relu(_linear(p, f"proj_{name}", x))
-            h = T.dropout(h, self.dropout, rng)
+            h = self.encode(p, f"proj_{name}", T.Tensor(mag.features[name], None), rng)
             block = T.row_select(p["head.w"], np.arange(i * self.hidden, (i + 1) * self.hidden))
             h = self.stacks[name].forward(h, mag.adjacency, p, f"gnn_{name}", head=block)
             logits = h if logits is None else T.add(logits, h)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import tensor as T
 from .aggregation import GnnStack
 from .graph import Mag
-from .models import Model, _he, _linear
+from .models import Model, _linear
 
 VARIANTS = ("full", "base", "synergy-only")
 
@@ -27,10 +27,8 @@ class SupraModel(Model):
         for name, dim in self.modalities:
             self.add_linear(rng, f"proj_{name}", dim, hidden)
             self.add_linear(rng, f"head_{name}", hidden, mag.num_classes)
-        self.stack = GnnStack(num_layers, alpha, hidden_dim=hidden,
-                              in_dim=hidden * len(self.modalities))
-        for pname, shape in self.stack.param_shapes("synergy").items():
-            self.params[pname] = _he(rng, shape[0], shape)
+        self.stack = self.add_stack(rng, "synergy", GnnStack(
+            num_layers, alpha, hidden_dim=hidden, in_dim=hidden * len(self.modalities)))
         self.add_linear(rng, "head_s", hidden, mag.num_classes)
 
     def synergy_param_count(self) -> int:
@@ -40,11 +38,8 @@ class SupraModel(Model):
         p = self.wrap(tape)
         z_unique, aux_logits = {}, {}
         for name, _dim in self.modalities:
-            x = T.Tensor(mag.features[name], None)
-            z = T.relu(_linear(p, f"proj_{name}", x))
-            z = T.dropout(z, self.dropout, rng)
-            z_unique[name] = z
-            aux_logits[name] = _linear(p, f"head_{name}", z)
+            z_unique[name] = self.encode(p, f"proj_{name}", T.Tensor(mag.features[name], None), rng)
+            aux_logits[name] = _linear(p, f"head_{name}", z_unique[name])
 
         # head_s is folded into the last synergy layer, its bias added after P
         h_s = [z_unique[name] for name, _ in self.modalities]   # the concat's blocks

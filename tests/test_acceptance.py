@@ -7,12 +7,14 @@ see them on success)."""
 import json
 import os
 import time
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import fd_checks
-from magsim.cli import main as cli_main
+from magsim.cli import _pool_map, main as cli_main
 from magsim.experiments import (TrainConfig, corruption_probe, derive_seed,
                                 sweep_noise, track_gradients)
 from magsim.graph import (ModalitySpec, SyntheticSpec, generate, inject_noise,
@@ -83,7 +85,8 @@ def test_criterion_03_snr_crossover(crossover_mag):
     base = TrainConfig(kind="ef-mlp", alpha=0.25, num_layers=4, max_epochs=150)
     scales = [0.0, 4.0]
     kinds = ["ef-mlp", "gcn-joint", "supra"]
-    rows, annotation = sweep_noise(mag, scales, kinds, [0, 1, 2], base)
+    with _pool_map(2) as pool_map:
+        rows, annotation = sweep_noise(mag, scales, kinds, [0, 1, 2], base, pool_map=pool_map)
 
     # the grid must straddle the measured threshold: effective encoder
     # noise below tau(beta_hat) at the low end, above it at the high end
@@ -150,9 +153,11 @@ def test_criterion_05_gradient_starvation_dynamics(asymmetric_mag):
                 ("base", {"supra_variant": "base"}),
                 ("aux", {"supra_variant": "full", "lambda_aux": 0.7})]
     num_epochs = 100
+    with _pool_map(2) as pool_map:
+        runs = list(pool_map(partial(track_gradients, mag, variants, num_epochs),
+                             [replace(base, seed=seed) for seed in (0, 1, 2)]))
     checks, details = [], []
-    for seed in (0, 1, 2):
-        rows = track_gradients(mag, variants, num_epochs, seed, base)
+    for seed, rows in enumerate(runs):
 
         def weak(variant, epoch):
             return next(r["grad_l2"] for r in rows
@@ -175,8 +180,10 @@ def test_criterion_06_corruption_probe(asymmetric_mag):
     kinds = [("supra-base", {"kind": "supra", "supra_variant": "base"}),
              ("supra-aux", {"kind": "supra", "supra_variant": "full",
                             "lambda_aux": 0.7})]
-    rows = corruption_probe(mag, kinds, "text", [0, 1, 2], base)
-    by = {(r["kind"], r["seed"]): r for r in rows}
+    with _pool_map(2) as pool_map:
+        runs = list(pool_map(partial(corruption_probe, mag, kinds, "text", base_cfg=base),
+                             [[seed] for seed in (0, 1, 2)]))
+    by = {(r["kind"], r["seed"]): r for rows in runs for r in rows}
     checks, details = [], []
     for seed in (0, 1, 2):
         b, a = by[("supra-base", seed)], by[("supra-aux", seed)]

@@ -2,6 +2,7 @@
 and byte-level reproducibility against golden files."""
 
 import contextlib
+import ctypes
 import io
 import json
 import multiprocessing
@@ -9,12 +10,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import src_env
-from magsim.cli import build_parser, main
+from magsim.cli import _pool_map, build_parser, main
 from magsim.graph import calibrate, load
 from magsim.theory import tau
 
@@ -211,6 +213,7 @@ def test_bad_train_key_rejected(tmp_path, dataset_dir):
     ("gen", "synthetic", "split_fracs", "0.6,0.2,0.2"),
     ("sweep-noise", "sweep", "scales", "0"),
     ("sweep-noise", "sweep", "scales", [0, "1"]),
+    ("sweep-noise", "sweep", "scales", [0, -1.0]),
     ("sweep-noise", "sweep", "kinds", "ef-mlp"),
     ("sweep-noise", "sweep", "seeds", 0),
     ("track-grads", "grads", "variants", [["supra-base"]]),
@@ -225,7 +228,7 @@ def test_bad_train_key_rejected(tmp_path, dataset_dir):
     ("corrupt", "probe", "seeds", [1.5]),
     ("corrupt", "probe", "seeds", [True]),
 ], ids=["modalities-str", "modalities-of-str", "modality-without-dim", "split-fracs-str",
-        "scales-str", "scale-str", "kinds-str", "seeds-int", "variant-short",
+        "scales-str", "scale-str", "scale-negative", "kinds-str", "seeds-int", "variant-short",
         "variant-overrides-str", "variant-unknown-key", "probe-kind-swapped",
         "probe-kind-str", "probe-seeds-dict", "seed-null", "seed-object",
         "probe-seed-negative", "probe-seed-float", "probe-seed-bool"])
@@ -524,6 +527,33 @@ def test_sweep_csv_reproducible(tmp_path, config_path, dataset_dir):
     _, a = run_sweep(tmp_path, config_path, dataset_dir, "a.csv")
     _, b = run_sweep(tmp_path, config_path, dataset_dir, "b.csv")
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_sweep_jobs_2_writes_the_bytes_of_jobs_1(tmp_path, config_path, dataset_dir):
+    outs = []
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"sweep_{jobs}.csv")
+        assert main(["sweep-noise", "--config", config_path, "--data", dataset_dir,
+                     "--out", out, "--scales", "0", "1", "--jobs", jobs]) == 0
+        outs.append(out)
+    for suffix in ("", ".manifest.json"):
+        assert open(outs[0] + suffix, "rb").read() == open(outs[1] + suffix, "rb").read()
+
+
+def _blas_threads(_=None):
+    getter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    getter.argtypes, getter.restype = (), ctypes.c_int
+    return getter()
+
+
+def test_pool_workers_run_blas_at_one_thread():
+    try:
+        parent = _blas_threads()
+    except (AttributeError, OSError):
+        pytest.skip("numpy has no scipy-openblas thread getter")
+    with _pool_map(2) as pool_map:
+        assert list(pool_map(_blas_threads, range(2))) == [1, 1]
+    assert _blas_threads() == parent      # the parent is not pinned
 
 
 def test_track_grads_csv(tmp_path, dataset_dir):

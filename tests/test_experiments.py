@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import types
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -340,14 +341,14 @@ def test_noise_hurts_topology_free_model(small_mag):
 
 def test_track_gradients_needs_two_modalities(census_mag):
     with pytest.raises(ContractError):
-        track_gradients(census_mag, [("a", {})], 2, 0, TrainConfig())
+        track_gradients(census_mag, [("a", {})], 2, TrainConfig())
 
 
 def test_track_gradients_rows(small_mag):
     base = TrainConfig(kind="supra", hidden=8, dropout=0.0)
     variants = [("base", {"supra_variant": "base"}),
                 ("aux", {"supra_variant": "full", "lambda_aux": 0.7})]
-    rows = track_gradients(small_mag, variants, 3, 0, base)
+    rows = track_gradients(small_mag, variants, 3, base)
     # 2 variants x 3 epochs x 3 branches (two projectors + synergy)
     assert len(rows) == 2 * 3 * 3
     assert all(set(r) == set(CSV_SCHEMAS["grads"]) for r in rows)
@@ -412,9 +413,10 @@ def test_write_csv_layout(tmp_path):
 
 def test_write_manifest(tmp_path):
     path = str(tmp_path / "manifest.json")
-    write_manifest(path, {"kind": "ef-mlp"}, 7, extra={"rows": 12})
+    cfg = TrainConfig(seed=7)
+    write_manifest(path, cfg, extra={"rows": 12})
     doc = json.loads(open(path, encoding="utf-8").read())
     assert doc["seed"] == 7
-    assert doc["config"] == {"kind": "ef-mlp"}
+    assert doc["config"] == asdict(cfg)
     assert doc["rows"] == 12
     assert doc["version"] == magsim.__version__
