@@ -29,7 +29,7 @@ def mean_aggregate(h: T.Tensor, adj: CsrMatrix, alpha: float) -> T.Tensor:
         raise ShapeError(f"mean_aggregate: adjacency {adj.num_rows}x{adj.num_cols} "
                          f"vs h {h.data.shape}")
     p, p_t = adj.mix_operator(alpha)
-    return T._op(p @ h.data, (h,), (lambda g: p_t @ g,))
+    return T._op(T._spmm(p, h.data), (h,), (lambda g: T._spmm(p_t, g),))
 
 
 class GnnStack:

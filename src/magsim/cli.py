@@ -19,6 +19,7 @@ from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ConfigError, ContractError, DatasetError, MagsimError, check_number
 from .experiments import (NumericError, TrainConfig, calibration_table,
                           corruption_probe, sweep_noise, track_gradients, train,
@@ -154,8 +155,10 @@ def _load_data(path: str):
     return load(path)
 
 
-def _one_blas_thread():
-    """Numpy's OpenBLAS at one thread in this process (a pool worker), if it has one."""
+def _one_compute_thread():
+    """One compute thread in this process (a pool worker): magsim's row-block
+    runner, and numpy's OpenBLAS if it has one, at one thread each."""
+    T._set_threads(1)
     with contextlib.suppress(AttributeError, OSError):
         setter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
         setter.argtypes, setter.restype = (ctypes.c_int,), None
@@ -164,12 +167,12 @@ def _one_blas_thread():
 
 @contextlib.contextmanager
 def _pool_map(jobs: int):
-    """``map`` for one job, else the map of a process pool (workers at one BLAS
-    thread) that is shut down, its workers joined, when the block exits."""
+    """``map`` for one job, else the map of a process pool (workers at one
+    compute thread) that is shut down, its workers joined, when the block exits."""
     if jobs <= 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_compute_thread) as pool:
         yield pool.map
 
 

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, DatasetError, ShapeError, check_number
+from .tensor import _spmm
 
 
 def _f32_grid(x: np.ndarray) -> np.ndarray:
@@ -355,7 +356,7 @@ def calibrate(mag: Mag, modality: str) -> tuple:
     active = np.flatnonzero(mag.adjacency.degrees > 0)
     if not active.size:
         raise ContractError("calibration needs at least one non-isolated node")
-    xbar = mag.adjacency.row_normalize().scipy() @ mag.features[modality]
+    xbar = _spmm(mag.adjacency.row_normalize().scipy(), mag.features[modality])
     sig = mag.signals[modality]
 
     def mean(fn):       # of fn(neighborhood means, own class signals) over the active rows

@@ -9,11 +9,119 @@ in execution order and replays them in reverse for backprop.
 from __future__ import annotations
 
 import itertools
+import os
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .errors import ShapeError, TapeError
+
+# Row-block runner.  The N-row kernels below (dense products, sparse products,
+# ReLU, dropout) cut their result into equal blocks of at least ROW_BLOCK rows
+# and run the blocks on a thread pool; NumPy's products and ufuncs and SciPy's
+# sparse product release the GIL.  The blocks depend on the row count alone,
+# never on the thread count, so a result has the same bits at any thread count.
+# A pool thread runs only closures over NumPy/SciPy calls: no magsim function.
+ROW_BLOCK = 2048
+_SPLIT_COLS = 8         # a dense product is split only if its width is a multiple:
+                        # on OpenBLAS a row split changed the last bits of widths
+                        # 1-4 mod 8 (the class-width heads among them), never of 8k
+_threads = None         # runner threads; the CPU affinity until _set_threads
+_pool = None            # created on first use
+
+
+def _set_threads(n: int | None):
+    """Run the row blocks on ``n`` threads (None: one per CPU this process may use)."""
+    global _threads, _pool
+    if _pool is not None:
+        _pool.shutdown(wait=False)
+    _threads, _pool = n, None
+
+
+def _row_threads() -> int:
+    if _threads is None:
+        _set_threads(len(os.sched_getaffinity(0)))
+    return _threads
+
+
+def _drop_pool():
+    """A forked child inherits the pool object but none of its threads."""
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _by_rows(n: int, fill):
+    """Call fill(lo, hi) once for each fixed row block of an n-row result:
+    n // ROW_BLOCK blocks (at least one) whose sizes differ by at most one
+    row.  The calling thread and the pool's take the blocks from one shared
+    iterator; with one block or one thread they all run inline."""
+    global _pool
+    k = max(1, n // ROW_BLOCK)
+    blocks = iter([(n * i // k, n * (i + 1) // k) for i in range(k)])
+
+    def drain():        # next() on a list iterator is atomic under the GIL
+        for lo, hi in blocks:
+            fill(lo, hi)
+
+    helpers = min(_row_threads(), k) - 1
+    if helpers == 0:
+        drain()
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_threads - 1)
+    futures = [_pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()      # re-raises a block's exception
+
+
+def _product(n: int, cols: int, fill) -> np.ndarray:
+    """An n x cols dense product that fill(out, lo, hi) writes rows lo:hi of;
+    one whose width is not a multiple of _SPLIT_COLS runs whole."""
+    out = np.empty((n, cols))
+    if cols % _SPLIT_COLS:
+        fill(out, 0, n)
+    else:
+        _by_rows(n, lambda lo, hi: fill(out, lo, hi))
+    return out
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _product(a.shape[0], b.shape[1],
+                    lambda out, lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]))
+
+
+def _elementwise(fn, *arrays, dtype=np.float64) -> np.ndarray:
+    """fn(*row blocks of arrays, out=row block of the result), by row blocks."""
+    out = np.empty(arrays[0].shape, dtype=dtype)
+    _by_rows(out.shape[0], lambda lo, hi: fn(*(a[lo:hi] for a in arrays), out=out[lo:hi]))
+    return out
+
+
+def _spmm(p, x: np.ndarray) -> np.ndarray:
+    """p @ x for a SciPy CSR matrix p and a dense x, by row blocks of p:
+    bit for bit SciPy's own product, which is the same per-row kernel."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n, cols = p.shape[0], x.shape[1]
+    indptr, indices, data, flat = p.indptr, p.indices, p.data, x.ravel()
+    out = np.empty((n, cols))
+
+    def fill(lo, hi):
+        block = out[lo:hi]
+        block.fill(0.0)      # the kernel adds into its output
+        _sparsetools.csr_matvecs(hi - lo, p.shape[1], cols, indptr[lo:hi + 1], indices,
+                                 data, flat, block.ravel())
+
+    _by_rows(n, fill)
+    return out
 
 
 class Tape:
@@ -146,22 +254,33 @@ def linear(x: Tensor | list, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: {[t.data.shape for t in blocks]} x {w.data.shape}"
                          f" + {None if b is None else b.data.shape}")
     offsets = list(itertools.accumulate(widths, initial=0))
-    rows = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     xs, wd = [t.data for t in blocks], w.data
-    out = xs[0] @ wd[rows[0]]
-    for xd, r in zip(xs[1:], rows[1:]):
-        out += xd @ wd[r]
-    vjps = [lambda g, r=r: g @ wd[r].T for r in rows]
+    ws = [wd[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    bd = None if b is None else b.data
+
+    def project(out, lo, hi):
+        o = out[lo:hi]
+        np.matmul(xs[0][lo:hi], ws[0], out=o)
+        for xd, wi in zip(xs[1:], ws[1:]):
+            o += xd[lo:hi] @ wi
+        if bd is not None:
+            o += bd
+
+    out = _product(blocks[0].rows, w.cols, project)
+    vjps = [lambda g, wi=wi: _matmul(g, wi.T) for wi in ws]
     vjps.append(lambda g: np.concatenate([xd.T @ g for xd in xs]))   # the stacked x_i.T @ g
     if b is None:
         return _op(out, [*blocks, w], vjps)
-    out += b.data
     return _op(out, [*blocks, w, b], vjps + [lambda g: g.sum(axis=0, keepdims=True)])
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0 if x.tape is not None else None   # read only by backward
-    return _op(np.maximum(x.data, 0.0), (x,), (lambda g: g * mask,))
+    xd = x.data
+    mask = None         # read only by backward
+    if x.tape is not None:
+        mask = _elementwise(lambda a, out: np.greater(a, 0.0, out=out), xd, dtype=bool)
+    return _op(_elementwise(lambda a, out: np.maximum(a, 0.0, out=out), xd), (x,),
+               (lambda g: _elementwise(np.multiply, g, mask),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -208,12 +327,13 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     if rng is None or rate == 0.0:
         return x
     keep = 1.0 - rate
-    kept = rng.random(x.data.shape) < keep   # bool; backward rebuilds kept / keep
+    kept = rng.random(x.data.shape) < keep   # one draw; backward rebuilds kept / keep
 
     def scaled(a):
-        s = kept / keep
-        s *= a
-        return s
+        def fill(k, v, out):
+            np.divide(k, keep, out=out)
+            out *= v
+        return _elementwise(fill, kept, a)
 
     return _op(scaled(x.data), (x,), (scaled,))
 

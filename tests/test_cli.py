@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import src_env
+from magsim import tensor as T
 from magsim.cli import _pool_map, build_parser, main
 from magsim.graph import calibrate, load
 from magsim.theory import tau
@@ -540,6 +541,22 @@ def test_sweep_jobs_2_writes_the_bytes_of_jobs_1(tmp_path, config_path, dataset_
         assert open(outs[0] + suffix, "rb").read() == open(outs[1] + suffix, "rb").read()
 
 
+def test_sweep_jobs_2_on_row_blocks_writes_the_bytes_of_jobs_1(tmp_path):
+    """On a graph of several row blocks the parent (which ran gen's
+    calibration on its row-block pool before forking) runs the --jobs 1
+    cells on all its threads and each --jobs 2 worker on one."""
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["synthetic"]["num_nodes"] = 2 * T.ROW_BLOCK + 100
+    doc["sweep"] = {"kinds": ["gcn-joint", "supra"], "seeds": [0]}
+    doc["train"].update({"max_epochs": 3, "patience": 3, "dropout": 0.3})
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(doc))
+    data = str(tmp_path / "data")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--config", str(path), "--out", data]) == 0
+        test_sweep_jobs_2_writes_the_bytes_of_jobs_1(tmp_path, str(path), data)
+
+
 def _blas_threads(_=None):
     getter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
     getter.argtypes, getter.restype = (), ctypes.c_int
@@ -554,6 +571,17 @@ def test_pool_workers_run_blas_at_one_thread():
     with _pool_map(2) as pool_map:
         assert list(pool_map(_blas_threads, range(2))) == [1, 1]
     assert _blas_threads() == parent      # the parent is not pinned
+
+
+def _runner_threads(_=None):
+    return T._row_threads()
+
+
+def test_pool_workers_run_the_row_blocks_on_one_thread():
+    parent = _runner_threads()
+    with _pool_map(2) as pool_map:
+        assert list(pool_map(_runner_threads, range(2))) == [1, 1]
+    assert _runner_threads() == parent    # the parent is not pinned
 
 
 def test_track_grads_csv(tmp_path, dataset_dir):
