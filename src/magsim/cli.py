@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import json
 import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, fields
-
-import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, DatasetError, MagsimError, check_number
@@ -155,16 +152,6 @@ def _load_data(path: str):
     return load(path)
 
 
-def _one_compute_thread():
-    """One compute thread in this process (a pool worker): magsim's row-block
-    runner, and numpy's OpenBLAS if it has one, at one thread each."""
-    T._set_threads(1)
-    with contextlib.suppress(AttributeError, OSError):
-        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
-        setter.argtypes, setter.restype = (ctypes.c_int,), None
-        setter(1)
-
-
 @contextlib.contextmanager
 def _pool_map(jobs: int):
     """``map`` for one job, else the map of a process pool (workers at one
@@ -172,7 +159,8 @@ def _pool_map(jobs: int):
     if jobs <= 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_compute_thread) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=T._set_threads,
+                             initargs=(1,)) as pool:
         yield pool.map
 
 

@@ -137,7 +137,7 @@ def macro_f1(preds, labels, num_classes: int) -> float:
     return float(np.mean(scores)) if scores else 0.0
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8   # glibc's mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameters
 
 
 def _keep_freed_memory():
@@ -149,10 +149,8 @@ def _keep_freed_memory():
     page-faults its whole working set back in.  Serving arrays up to
     32 MiB (glibc's own 64-bit ceiling for its dynamic mmap threshold) from
     the heap and trimming only above 256 MiB keeps them resident until the
-    process exits.  One arena keeps the row-block threads
-    (``tensor.ROW_BLOCK``) allocating from that same heap instead of
-    opening arenas of their own.  Values are unchanged; a C library without
-    ``mallopt`` is left alone.
+    process exits.  Values are unchanged; a C library without ``mallopt``
+    is left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -161,7 +159,6 @@ def _keep_freed_memory():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-    mallopt(_M_ARENA_MAX, 1)
 
 
 def train(mag: Mag, cfg: TrainConfig, return_model: bool = False):

@@ -8,6 +8,8 @@ in execution order and replays them in reverse for backprop.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
 import os
 import weakref
@@ -24,6 +26,8 @@ from .errors import ShapeError, TapeError
 # sparse product release the GIL.  The blocks depend on the row count alone,
 # never on the thread count, so a result has the same bits at any thread count.
 # A pool thread runs only closures over NumPy/SciPy calls: no magsim function.
+# The runner, not BLAS, spreads the work over the cores: from the first kernel
+# on, numpy's OpenBLAS runs at one thread, so two cores run two busy threads.
 ROW_BLOCK = 2048
 _SPLIT_COLS = 8         # a dense product is split only if its width is a multiple:
                         # on OpenBLAS a row split changed the last bits of widths
@@ -33,16 +37,23 @@ _pool = None            # created on first use
 
 
 def _set_threads(n: int | None):
-    """Run the row blocks on ``n`` threads (None: one per CPU this process may use)."""
+    """Run the row blocks on ``n`` threads (None: one per CPU this process may
+    use, from the next kernel on) and numpy's OpenBLAS, if it has one, on one."""
     global _threads, _pool
     if _pool is not None:
         _pool.shutdown(wait=False)
     _threads, _pool = n, None
+    if n is not None:
+        with contextlib.suppress(AttributeError, OSError):
+            setter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
 
 
 def _row_threads() -> int:
     if _threads is None:
-        _set_threads(len(os.sched_getaffinity(0)))
+        _set_threads(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
     return _threads
 
 
@@ -52,7 +63,8 @@ def _drop_pool():
     _pool = None
 
 
-os.register_at_fork(after_in_child=_drop_pool)
+if hasattr(os, "register_at_fork"):     # without fork there is no inherited pool
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _by_rows(n: int, fill):

@@ -570,7 +570,7 @@ def test_pool_workers_run_blas_at_one_thread():
         pytest.skip("numpy has no scipy-openblas thread getter")
     with _pool_map(2) as pool_map:
         assert list(pool_map(_blas_threads, range(2))) == [1, 1]
-    assert _blas_threads() == parent      # the parent is not pinned
+    assert _blas_threads() == parent      # the pool leaves the parent as it was
 
 
 def _runner_threads(_=None):
@@ -581,7 +581,7 @@ def test_pool_workers_run_the_row_blocks_on_one_thread():
     parent = _runner_threads()
     with _pool_map(2) as pool_map:
         assert list(pool_map(_runner_threads, range(2))) == [1, 1]
-    assert _runner_threads() == parent    # the parent is not pinned
+    assert _runner_threads() == parent    # the pool leaves the parent as it was
 
 
 def test_track_grads_csv(tmp_path, dataset_dir):

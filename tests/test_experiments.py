@@ -264,8 +264,8 @@ def test_heap_policy_sets_glibc_thresholds(monkeypatch):
     monkeypatch.setattr(experiments.ctypes, "CDLL",
                         lambda name: types.SimpleNamespace(mallopt=mallopt))
     experiments._keep_freed_memory()
-    # <malloc.h>: M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1, M_ARENA_MAX = -8
-    assert calls == [(-3, 32 * 2**20), (-1, 256 * 2**20), (-8, 1)]
+    # <malloc.h>: M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1
+    assert calls == [(-3, 32 * 2**20), (-1, 256 * 2**20)]
 
 
 @pytest.mark.parametrize("error", [AttributeError, OSError])

@@ -3,7 +3,9 @@ bits at one and at two threads, the sparse and elementwise kernels give the
 bits of the whole-array SciPy/NumPy result, and a forked child does not
 inherit a pool whose threads it lacks."""
 
+import ctypes
 import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -165,12 +167,39 @@ def test_each_block_runs_once_under_thread_switching():
         sys.setswitchinterval(interval)
 
 
+def test_runner_threads_fall_back_to_the_cpu_count(monkeypatch):
+    """Where os.sched_getaffinity is missing (macOS, Windows) the runner
+    takes one thread per CPU."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    T._set_threads(None)
+    assert T._row_threads() == (os.cpu_count() or 1)
+
+
+def test_the_runner_runs_blas_at_one_thread():
+    """The runner, not OpenBLAS, spreads a product over the cores: once it
+    has its thread count, numpy's OpenBLAS runs at one thread."""
+    try:
+        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        getter = blas.scipy_openblas_get_num_threads64_
+        setter = blas.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        pytest.skip("numpy has no scipy-openblas thread getter")
+    getter.argtypes, getter.restype = (), ctypes.c_int
+    setter.argtypes, setter.restype = (ctypes.c_int,), None
+    setter(2)
+    assert getter() == 2
+    T._set_threads(None)
+    T.relu(T.Tensor(np.ones((2 * T.ROW_BLOCK, 8))))
+    assert getter() == 1
+
+
 def _relu_in_child():
     x = np.arange(2 * T.ROW_BLOCK * 8, dtype=float).reshape(-1, 8) - 7.0
     if T.relu(T.Tensor(x)).data.tobytes() != np.maximum(x, 0.0).tobytes():
         raise SystemExit(1)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_a_forked_child_does_not_wait_on_the_parents_pool():
     """A child inherits the parent's pool object but none of its threads;
     without the fork hook its first block kernel waits forever."""
