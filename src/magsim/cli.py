@@ -2,7 +2,7 @@
 
 Subcommands: gen, train, sweep-noise, track-grads, corrupt, theory.
 Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numeric failure during
-training, 5 theory property failure.  Log level via MAGSIM_LOG.
+training, 5 theory property failure.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,8 +22,6 @@ from .experiments import (NumericError, TrainConfig, calibration_table,
                           write_csv, write_manifest)
 from .graph import ModalitySpec, SyntheticSpec, generate, intrinsic_noise, load, save
 from .validation import ALL_CHECKS
-
-log = logging.getLogger("magsim")
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_THEORY = 0, 2, 3, 4, 5
 
@@ -51,8 +48,8 @@ def _check_keys(doc: dict, allowed, context: str):
 
 def _section(doc: dict, name: str, defaults: dict) -> dict:
     """The config's ``name`` object laid over ``defaults``: it may set no
-    other key, a value whose default is a list (or tuple) must be a list, and
-    each of its ``seeds`` an integer >= 0."""
+    other key, a value whose default is a list (or tuple) must be a list, empty
+    only if the default is, and each of its ``seeds`` an integer >= 0."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: must be an object, got {section!r:.40}")
@@ -61,6 +58,8 @@ def _section(doc: dict, name: str, defaults: dict) -> dict:
     for key, default in defaults.items():
         if isinstance(default, (list, tuple)) and not isinstance(merged[key], (list, tuple)):
             raise ConfigError(f"{name}.{key}: must be a list, got {merged[key]!r:.40}")
+        if default and isinstance(default, (list, tuple)) and not merged[key]:
+            raise ConfigError(f"{name}.{key}: must not be empty")
     for seed in merged.get("seeds", ()):
         check_number(f"{name}.seeds", seed, integer=True, low=0)
     return merged
@@ -126,7 +125,6 @@ def cmd_gen(args) -> int:
     mag = generate(synthetic_spec(doc, args.seed))
     save(mag, args.out)
     _print_dataset_stats(mag, train_config(doc).alpha)
-    log.info("dataset with %d nodes written to %s", mag.num_nodes, args.out)
     return EXIT_OK
 
 
@@ -262,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("MAGSIM_LOG", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR),
-                        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

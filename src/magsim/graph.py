@@ -197,6 +197,8 @@ class Mag:
         for k in ("train", "val", "test"):
             if len(self.splits[k]) == 0:
                 raise ShapeError(f"empty {k} split")
+        if not self.modalities:
+            raise ShapeError("a graph needs at least one modality")
         if len(set(self.modality_names())) != len(self.modalities):
             raise ShapeError(f"repeated modality name in {self.modality_names()}")
         for name, dim in self.modalities:

@@ -24,14 +24,12 @@ from .errors import ShapeError, TapeError
 # ReLU, dropout) cut their result into equal blocks of at least ROW_BLOCK rows
 # and run the blocks on a thread pool; NumPy's products and ufuncs and SciPy's
 # sparse product release the GIL.  The blocks depend on the row count alone,
-# never on the thread count, so a result has the same bits at any thread count.
-# A pool thread runs only closures over NumPy/SciPy calls: no magsim function.
-# The runner, not BLAS, spreads the work over the cores: from the first kernel
-# on, numpy's OpenBLAS runs at one thread, so two cores run two busy threads.
+# never on the thread count or the width, so a result has the same bits at any
+# thread count.  A pool thread runs only closures over NumPy/SciPy calls: no
+# magsim function.  The runner, not BLAS, spreads the work over the cores: from
+# the first kernel on, numpy's OpenBLAS runs at one thread, so two cores run
+# two busy threads.
 ROW_BLOCK = 2048
-_SPLIT_COLS = 8         # a dense product is split only if its width is a multiple:
-                        # on OpenBLAS a row split changed the last bits of widths
-                        # 1-4 mod 8 (the class-width heads among them), never of 8k
 _threads = None         # runner threads; the CPU affinity until _set_threads
 _pool = None            # created on first use
 
@@ -67,24 +65,24 @@ if hasattr(os, "register_at_fork"):     # without fork there is no inherited poo
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _by_rows(n: int, fill):
-    """Call fill(lo, hi) once for each fixed row block of an n-row result:
-    n // ROW_BLOCK blocks (at least one) whose sizes differ by at most one
-    row.  The calling thread and the pool's take the blocks from one shared
-    iterator; with one block or one thread they all run inline."""
+def _by_rows(shape, fill, dtype=np.float64) -> np.ndarray:
+    """A new array of ``shape`` filled by fill(block, lo, hi), ``block`` being
+    its rows lo:hi, once for each fixed row block: n // ROW_BLOCK blocks (at
+    least one) whose sizes differ by at most one row.  The calling thread and
+    the pool's take the blocks from one shared iterator; with one block or one
+    thread they all run inline."""
     global _pool
+    out = np.empty(shape, dtype=dtype)
+    n = shape[0]
     k = max(1, n // ROW_BLOCK)
     blocks = iter([(n * i // k, n * (i + 1) // k) for i in range(k)])
 
     def drain():        # next() on a list iterator is atomic under the GIL
         for lo, hi in blocks:
-            fill(lo, hi)
+            fill(out[lo:hi], lo, hi)
 
     helpers = min(_row_threads(), k) - 1
-    if helpers == 0:
-        drain()
-        return
-    if _pool is None:
+    if helpers and _pool is None:
         _pool = ThreadPoolExecutor(_threads - 1)
     futures = [_pool.submit(drain) for _ in range(helpers)]
     try:
@@ -93,47 +91,33 @@ def _by_rows(n: int, fill):
         wait(futures)
     for f in futures:
         f.result()      # re-raises a block's exception
-
-
-def _product(n: int, cols: int, fill) -> np.ndarray:
-    """An n x cols dense product that fill(out, lo, hi) writes rows lo:hi of;
-    one whose width is not a multiple of _SPLIT_COLS runs whole."""
-    out = np.empty((n, cols))
-    if cols % _SPLIT_COLS:
-        fill(out, 0, n)
-    else:
-        _by_rows(n, lambda lo, hi: fill(out, lo, hi))
     return out
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _product(a.shape[0], b.shape[1],
-                    lambda out, lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]))
+    return _by_rows((a.shape[0], b.shape[1]),
+                    lambda out, lo, hi: np.matmul(a[lo:hi], b, out=out))
 
 
 def _elementwise(fn, *arrays, dtype=np.float64) -> np.ndarray:
     """fn(*row blocks of arrays, out=row block of the result), by row blocks."""
-    out = np.empty(arrays[0].shape, dtype=dtype)
-    _by_rows(out.shape[0], lambda lo, hi: fn(*(a[lo:hi] for a in arrays), out=out[lo:hi]))
-    return out
+    return _by_rows(arrays[0].shape,
+                    lambda out, lo, hi: fn(*(a[lo:hi] for a in arrays), out=out), dtype)
 
 
 def _spmm(p, x: np.ndarray) -> np.ndarray:
     """p @ x for a SciPy CSR matrix p and a dense x, by row blocks of p:
     bit for bit SciPy's own product, which is the same per-row kernel."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    n, cols = p.shape[0], x.shape[1]
+    cols = x.shape[1]
     indptr, indices, data, flat = p.indptr, p.indices, p.data, x.ravel()
-    out = np.empty((n, cols))
 
-    def fill(lo, hi):
-        block = out[lo:hi]
-        block.fill(0.0)      # the kernel adds into its output
+    def fill(out, lo, hi):
+        out.fill(0.0)        # the kernel adds into its output
         _sparsetools.csr_matvecs(hi - lo, p.shape[1], cols, indptr[lo:hi + 1], indices,
-                                 data, flat, block.ravel())
+                                 data, flat, out.ravel())
 
-    _by_rows(n, fill)
-    return out
+    return _by_rows((p.shape[0], cols), fill)
 
 
 class Tape:
@@ -270,15 +254,14 @@ def linear(x: Tensor | list, w: Tensor, b: Tensor | None = None) -> Tensor:
     ws = [wd[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
     bd = None if b is None else b.data
 
-    def project(out, lo, hi):
-        o = out[lo:hi]
+    def project(o, lo, hi):
         np.matmul(xs[0][lo:hi], ws[0], out=o)
         for xd, wi in zip(xs[1:], ws[1:]):
             o += xd[lo:hi] @ wi
         if bd is not None:
             o += bd
 
-    out = _product(blocks[0].rows, w.cols, project)
+    out = _by_rows((blocks[0].rows, w.cols), project)
     vjps = [lambda g, wi=wi: _matmul(g, wi.T) for wi in ws]
     vjps.append(lambda g: np.concatenate([xd.T @ g for xd in xs]))   # the stacked x_i.T @ g
     if b is None:

@@ -156,8 +156,9 @@ def _append_edge(line_of):
     ("edges.csv", _append_edge(lambda first: "99999999999999999999,1\n")),
     ("repeated modality name",
      _rewrite_meta(lambda m: m["modalities"].append(m["modalities"][0]))),
+    ("at least one modality", _rewrite_meta(lambda m: m.update(modalities=[]))),
 ], ids=["no-val-split", "no-dim", "string-count", "self-loop", "duplicate-edge",
-        "inflated-num-nodes", "edge-past-int64", "repeated-modality"])
+        "inflated-num-nodes", "edge-past-int64", "repeated-modality", "no-modality"])
 def test_malformed_dataset_is_io_error(tmp_path, config_path, dataset_dir, capsys,
                                        name, edit):
     edit(dataset_dir)
@@ -228,11 +229,17 @@ def test_bad_train_key_rejected(tmp_path, dataset_dir):
     ("corrupt", "probe", "seeds", [-1]),
     ("corrupt", "probe", "seeds", [1.5]),
     ("corrupt", "probe", "seeds", [True]),
+    ("gen", "synthetic", "modalities", []),
+    ("sweep-noise", "sweep", "seeds", []),
+    ("corrupt", "probe", "kinds", []),
+    ("corrupt", "probe", "seeds", []),
+    ("track-grads", "grads", "variants", []),
 ], ids=["modalities-str", "modalities-of-str", "modality-without-dim", "split-fracs-str",
         "scales-str", "scale-str", "scale-negative", "kinds-str", "seeds-int", "variant-short",
         "variant-overrides-str", "variant-unknown-key", "probe-kind-swapped",
         "probe-kind-str", "probe-seeds-dict", "seed-null", "seed-object",
-        "probe-seed-negative", "probe-seed-float", "probe-seed-bool"])
+        "probe-seed-negative", "probe-seed-float", "probe-seed-bool", "modalities-empty",
+        "sweep-seeds-empty", "probe-kinds-empty", "probe-seeds-empty", "variants-empty"])
 def test_malformed_section_names_it(tmp_path, dataset_dir, capsys, cmd, section, key, value):
     doc = json.loads(json.dumps(TINY_CONFIG))
     doc.setdefault(section, {})[key] = value
@@ -541,20 +548,48 @@ def test_sweep_jobs_2_writes_the_bytes_of_jobs_1(tmp_path, config_path, dataset_
         assert open(outs[0] + suffix, "rb").read() == open(outs[1] + suffix, "rb").read()
 
 
-def test_sweep_jobs_2_on_row_blocks_writes_the_bytes_of_jobs_1(tmp_path):
-    """On a graph of several row blocks the parent (which ran gen's
-    calibration on its row-block pool before forking) runs the --jobs 1
-    cells on all its threads and each --jobs 2 worker on one."""
+def _row_blocks_dataset(tmp_path, **sections):
+    """A config of two row blocks' worth of nodes, 3-epoch training with
+    dropout and ``sections`` laid over it, and the dataset gen writes."""
     doc = json.loads(json.dumps(TINY_CONFIG))
     doc["synthetic"]["num_nodes"] = 2 * T.ROW_BLOCK + 100
-    doc["sweep"] = {"kinds": ["gcn-joint", "supra"], "seeds": [0]}
-    doc["train"].update({"max_epochs": 3, "patience": 3, "dropout": 0.3})
+    doc["train"].update({"max_epochs": 3, "patience": 3, "dropout": 0.3},
+                        **sections.pop("train", {}))
+    doc.update(sections)
     path = tmp_path / "blocks.json"
     path.write_text(json.dumps(doc))
     data = str(tmp_path / "data")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["gen", "--config", str(path), "--out", data]) == 0
-        test_sweep_jobs_2_writes_the_bytes_of_jobs_1(tmp_path, str(path), data)
+    return str(path), data
+
+
+def test_sweep_jobs_2_on_row_blocks_writes_the_bytes_of_jobs_1(tmp_path):
+    """On a graph of several row blocks the parent (which ran gen's
+    calibration on its row-block pool before forking) runs the --jobs 1
+    cells on all its threads and each --jobs 2 worker on one."""
+    path, data = _row_blocks_dataset(tmp_path, sweep={"kinds": ["gcn-joint", "supra"],
+                                                      "seeds": [0]})
+    with contextlib.redirect_stdout(io.StringIO()):
+        test_sweep_jobs_2_writes_the_bytes_of_jobs_1(tmp_path, path, data)
+
+
+def test_train_reports_do_not_depend_on_openblas_threads(tmp_path):
+    """On a graph of several row blocks, a ``python -m magsim train`` child at
+    OPENBLAS_NUM_THREADS 1 and 2 writes the same report: the row-block runner
+    runs numpy's OpenBLAS at one thread from its first kernel on."""
+    path, data = _row_blocks_dataset(tmp_path, train={"kind": "supra", "lambda_aux": 0.7})
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report_{threads}.json"
+        child = subprocess.run([sys.executable, "-m", "magsim", "train", "--config", path,
+                                "--data", data, "--out", str(out)], capture_output=True,
+                               text=True, env={**src_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert child.returncode == 0, child.stderr
+        report = json.loads(out.read_text())
+        del report["wall_clock_seconds"]
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
 
 
 def _blas_threads(_=None):

@@ -44,13 +44,13 @@ def assert_bytes_equal(a, b):
 def test_row_blocks_are_equal_and_fixed():
     seen = []
     T._set_threads(1)
-    T._by_rows(N, lambda lo, hi: seen.append((lo, hi)))
+    T._by_rows((N, 1), lambda out, lo, hi: seen.append((lo, hi)))
     sizes = [hi - lo for lo, hi in seen]
     assert seen[0][0] == 0 and seen[-1][1] == N and len(seen) == 3
     assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
     assert min(sizes) >= T.ROW_BLOCK and max(sizes) - min(sizes) <= 1
     one = []
-    T._by_rows(2 * T.ROW_BLOCK - 1, lambda lo, hi: one.append((lo, hi)))
+    T._by_rows((2 * T.ROW_BLOCK - 1, 1), lambda out, lo, hi: one.append((lo, hi)))
     assert one == [(0, 2 * T.ROW_BLOCK - 1)]
 
 
@@ -69,11 +69,24 @@ def _linear_run(widths, cols, bias):
 
 
 @pytest.mark.parametrize("widths", [(16,), (5, 8), (3, 8, 12), (2, 9, 4, 16)])
-@pytest.mark.parametrize("cols", [4, 16])
+@pytest.mark.parametrize("cols", [1, 4, 12, 16])
 @pytest.mark.parametrize("bias", [True, False])
 def test_linear_bits_do_not_depend_on_the_thread_count(widths, cols, bias):
     one, two = at_threads(_linear_run, widths, cols, bias)
     assert_bytes_equal(one, two)
+
+
+@pytest.mark.parametrize("cols", [*range(1, 17), 64])
+def test_matmul_is_the_stacked_products_of_its_fixed_blocks(cols):
+    """Every width runs over the same row blocks: at one and at two threads
+    the product is, byte for byte, its blocks' products stacked."""
+    rng = np.random.default_rng(cols)
+    a, b = rng.standard_normal((N, 24)), rng.standard_normal((24, cols))
+    k = N // T.ROW_BLOCK
+    bounds = [N * i // k for i in range(k + 1)]
+    stacked = np.concatenate([a[lo:hi] @ b for lo, hi in zip(bounds, bounds[1:])])
+    one, two = at_threads(T._matmul, a, b)
+    assert_bytes_equal([one, two], [stacked, stacked])
 
 
 def _isolated_adjacency():
@@ -160,7 +173,7 @@ def test_each_block_runs_once_under_thread_switching():
     try:
         for _ in range(50):
             seen = []
-            T._by_rows(n, lambda lo, hi: seen.append((lo, hi)))
+            T._by_rows((n, 1), lambda out, lo, hi: seen.append((lo, hi)))
             assert len(seen) == 40 and sorted(seen)[0][0] == 0
             assert sum(hi - lo for lo, hi in seen) == n and len(set(seen)) == 40
     finally:
