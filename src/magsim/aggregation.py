@@ -94,8 +94,8 @@ def ego_jacobian_diag(adj: CsrMatrix, alpha: float, num_layers: int, node: int) 
     if not 0 <= node < adj.num_rows:
         raise ContractError(f"node {node} out of range [0,{adj.num_rows})")
     p, _ = adj.mix_operator(alpha)
-    v = np.zeros(adj.num_rows)
+    v = np.zeros((adj.num_rows, 1))
     v[node] = 1.0
     for _ in range(num_layers):
-        v = p @ v
-    return float(v[node])
+        v = T._spmm(p, v)
+    return float(v[node, 0])

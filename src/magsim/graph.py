@@ -18,10 +18,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ContractError, DatasetError, ShapeError, check_number
-from .tensor import _spmm
+from .tensor import _sparsetools, _spmm
 
 
 def _f32_grid(x: np.ndarray) -> np.ndarray:
@@ -67,7 +66,7 @@ class CsrMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         self.normalized = bool(normalized)
-        self._sp = self._norm = None
+        self._norm = None
         self._mix = {}               # alpha -> (P, P^T), see mix_operator
         self._validate()
 
@@ -135,27 +134,30 @@ class CsrMatrix:
                                    self.col_indices, values, normalized=True)
         return self._norm
 
-    def scipy(self) -> sp.csr_matrix:
-        if self._sp is None:
-            self._sp = sp.csr_matrix((self.values, self.col_indices, self.row_offsets),
-                                     shape=(self.num_rows, self.num_cols))
-        return self._sp
-
     def mix_operator(self, alpha: float):
         """Cached CSR pair (P, P^T) with P = alpha*I + (1-alpha)*A_hat, A_hat
         this matrix row-normalized: one mean-mix aggregation step is the
-        single product P @ h."""
+        single product P @ h.  SciPy's routines behind ``+`` and ``.T.tocsr()``
+        build both; the sum drops exact zeros, so P at alpha 0 is A_hat."""
         if self.num_rows != self.num_cols:
             raise ShapeError(f"mean aggregation needs a square adjacency, "
                              f"got {self.num_rows}x{self.num_cols}")
         if alpha not in self._mix:
-            p = (alpha * sp.identity(self.num_rows, format="csr")
-                 + (1.0 - alpha) * self.row_normalize().scipy()).tocsr()
-            self._mix[alpha] = (p, p.T.tocsr())
+            n, a_hat = self.num_rows, self.row_normalize()
+            eye, size = np.arange(n + 1, dtype=np.int64), n + a_hat.nnz
+            ro, ci, v = np.empty(n + 1, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
+            _sparsetools.csr_plus_csr(n, n, eye, eye[:-1], np.full(n, float(alpha)), a_hat.row_offsets,
+                                      a_hat.col_indices, a_hat.values * (1.0 - alpha), ro, ci, v)
+            p = CsrMatrix(n, n, ro, ci[:ro[-1]], v[:ro[-1]])
+            t = [np.empty_like(a) for a in (p.row_offsets, p.col_indices, p.values)]
+            _sparsetools.csr_tocsc(n, n, p.row_offsets, p.col_indices, p.values, *t)
+            self._mix[alpha] = (p, CsrMatrix(n, n, *t))
         return self._mix[alpha]
 
     def to_dense(self) -> np.ndarray:
-        return self.scipy().toarray()
+        dense = np.zeros((self.num_rows, self.num_cols))
+        dense[np.repeat(np.arange(self.num_rows), self.degrees), self.col_indices] = self.values
+        return dense
 
     def __eq__(self, other):
         if not isinstance(other, CsrMatrix):
@@ -358,7 +360,7 @@ def calibrate(mag: Mag, modality: str) -> tuple:
     active = np.flatnonzero(mag.adjacency.degrees > 0)
     if not active.size:
         raise ContractError("calibration needs at least one non-isolated node")
-    xbar = _spmm(mag.adjacency.row_normalize().scipy(), mag.features[modality])
+    xbar = _spmm(mag.adjacency.row_normalize(), mag.features[modality])
     sig = mag.signals[modality]
 
     def mean(fn):       # of fn(neighborhood means, own class signals) over the active rows

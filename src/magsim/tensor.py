@@ -10,15 +10,35 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import importlib.machinery
+import importlib.util
 import itertools
 import os
+import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from .errors import ShapeError, TapeError
+
+
+def _load_sparsetools():
+    """SciPy's compiled CSR routines from their extension file alone: importing
+    the scipy.sparse package would cost 0.15-0.25 s and about 20 MB per process."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:     # registered there, so scipy.sparse reuses this module
+        scipy = importlib.util.find_spec("scipy")       # finds SciPy without running it
+        where = [os.path.join(d, "sparse") for d in scipy.submodule_search_locations] if scipy else []
+        spec = importlib.machinery.PathFinder.find_spec("_sparsetools", where)
+        if spec is None:
+            raise ImportError(f"SciPy's _sparsetools extension not found in {where}")
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+_sparsetools = _load_sparsetools()
 
 # Row-block runner.  The N-row kernels below (dense products, sparse products,
 # ReLU, dropout) cut their result into equal blocks of at least ROW_BLOCK rows
@@ -105,19 +125,19 @@ def _elementwise(fn, *arrays, dtype=np.float64) -> np.ndarray:
                     lambda out, lo, hi: fn(*(a[lo:hi] for a in arrays), out=out), dtype)
 
 
-def _spmm(p, x: np.ndarray) -> np.ndarray:
-    """p @ x for a SciPy CSR matrix p and a dense x, by row blocks of p:
-    bit for bit SciPy's own product, which is the same per-row kernel."""
+def _spmm(a, x: np.ndarray) -> np.ndarray:
+    """a @ x for a graph.CsrMatrix a and a dense x, by row blocks of a: bit
+    for bit SciPy's own product, which is the same per-row kernel."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     cols = x.shape[1]
-    indptr, indices, data, flat = p.indptr, p.indices, p.data, x.ravel()
+    offsets, indices, values, flat = a.row_offsets, a.col_indices, a.values, x.ravel()
 
     def fill(out, lo, hi):
         out.fill(0.0)        # the kernel adds into its output
-        _sparsetools.csr_matvecs(hi - lo, p.shape[1], cols, indptr[lo:hi + 1], indices,
-                                 data, flat, out.ravel())
+        _sparsetools.csr_matvecs(hi - lo, a.num_cols, cols, offsets[lo:hi + 1], indices,
+                                 values, flat, out.ravel())
 
-    return _by_rows((p.shape[0], cols), fill)
+    return _by_rows((a.num_rows, cols), fill)
 
 
 class Tape:

@@ -43,6 +43,25 @@ def isolated_node_mag(seed=5):
     return mag
 
 
+def scipy_csr(adj):
+    """SciPy's own CSR matrix over a CsrMatrix's arrays: the independent
+    reference for magsim's sparse products.  SciPy is imported here, not at
+    the top, so that magsim loads its CSR routines itself first, as it does
+    outside the tests."""
+    import scipy.sparse as sp
+    return sp.csr_matrix((adj.values, adj.col_indices, adj.row_offsets),
+                         shape=(adj.num_rows, adj.num_cols))
+
+
+def scipy_mix(adj, alpha):
+    """SciPy's own P = alpha*I + (1-alpha)*A_hat and P^T, A_hat the square
+    adjacency ``adj`` row-normalized."""
+    import scipy.sparse as sp
+    p = (alpha * sp.identity(adj.num_rows, format="csr")
+         + (1.0 - alpha) * scipy_csr(adj.row_normalize())).tocsr()
+    return p, p.T.tocsr()
+
+
 def src_env() -> dict:
     """This process's environment with the checkout's ``src/`` first on
     PYTHONPATH, for child interpreters that import magsim."""

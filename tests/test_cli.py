@@ -87,6 +87,33 @@ def run_module(*argv):
                           capture_output=True, text=True, env=src_env())
 
 
+_SCIPY_SPARSE_CHILD = """
+import sys
+import magsim.cli
+from magsim import tensor as T
+from magsim.aggregation import ego_jacobian_diag
+from magsim.experiments import TrainConfig, train
+from magsim.graph import ModalitySpec, SyntheticSpec, calibrate, generate
+
+mag = generate(SyntheticSpec(200, 3, [ModalitySpec("text", 8), ModalitySpec("visual", 6)], seed=2))
+for kind in ("gcn-joint", "sage-concat"):
+    train(mag, TrainConfig(kind=kind, max_epochs=1, patience=1))
+calibrate(mag, "text")
+ego_jacobian_diag(mag.adjacency, 0.5, 2, 0)
+assert "scipy.sparse" not in sys.modules, "magsim imported the scipy.sparse package"
+from scipy.sparse import _compressed, _sparsetools
+assert _sparsetools is _compressed._sparsetools is T._sparsetools
+"""
+
+
+def test_magsim_never_imports_the_scipy_sparse_package():
+    # the package's __init__ costs 0.15-0.25 s and about 20 MB per process;
+    # magsim loads only its compiled CSR routines, and SciPy reuses them
+    out = subprocess.run([sys.executable, "-c", _SCIPY_SPARSE_CHILD],
+                         capture_output=True, text=True, env=src_env())
+    assert out.returncode == 0, out.stderr
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     out = run_module("--help")
     assert out.returncode == 0

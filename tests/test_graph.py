@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import three_node_mag
+from conftest import scipy_csr, three_node_mag
 from magsim import graph
 from magsim.cli import _print_dataset_stats
 from magsim.errors import ContractError, DatasetError, ShapeError
@@ -103,7 +103,7 @@ def test_generate_noiseless_pure_homophily():
                          homophily=1.0, mean_degree=8, seed=5)
     mag = generate(spec)
     norm = mag.adjacency.row_normalize()
-    xbar = norm.scipy() @ mag.features["text"]
+    xbar = scipy_csr(norm) @ mag.features["text"]
     own = mag.signals["text"][mag.labels]
     active = mag.adjacency.degrees > 0
     # every neighbor shares the class, so the mean equals the class signal
@@ -226,11 +226,14 @@ def test_neighborhood_noise_averaging_oracle():
     assert abs(est - 0.04) / 0.04 < 0.10
 
 
-def _reference_alignment(mag, modality):
+def _reference_alignment(mag, modality, a_hat=None):
     """Reference operands and beta_hat: the neighborhood means of the
-    non-isolated rows, those rows' own class signals, and their alignment."""
+    non-isolated rows, those rows' own class signals, and their alignment.
+    ``a_hat`` is SciPy's copy of the row-normalized adjacency, built here if
+    not given."""
     active = mag.adjacency.degrees > 0
-    xbar = (mag.adjacency.row_normalize().scipy() @ mag.features[modality])[active]
+    a_hat = scipy_csr(mag.adjacency.row_normalize()) if a_hat is None else a_hat
+    xbar = (a_hat @ mag.features[modality])[active]
     sig = mag.signals[modality][mag.labels[active]]
     return xbar, sig, float(np.mean(np.sum(xbar * sig, axis=1) / np.sum(sig ** 2, axis=1)))
 
@@ -277,9 +280,9 @@ def test_calibration_peak_memory_is_that_of_the_alignment(census_mag):
     # both estimates from one product must not hold more N x d arrays at
     # once than the alignment alone does (an out-of-place residual held one
     # more, +25.6 MB of peak RSS in `magsim gen` at N=200k)
-    census_mag.adjacency.row_normalize()
+    a_hat = scipy_csr(census_mag.adjacency.row_normalize())     # built outside the measurement
     one_array = census_mag.features["text"].nbytes
-    alignment = _peak_bytes(lambda: _reference_alignment(census_mag, "text"))
+    alignment = _peak_bytes(lambda: _reference_alignment(census_mag, "text", a_hat))
     assert _peak_bytes(lambda: calibrate(census_mag, "text")) < alignment + one_array / 2
 
 
@@ -313,7 +316,7 @@ def mag_20k():
 def test_dataset_stats_peak_memory_is_under_two_feature_arrays(mag_20k, capsys):
     # the calibration's neighborhood means are the one N x d temporary; the
     # residual passes run in row blocks (full-size passes held 4.1 arrays)
-    mag_20k.adjacency.row_normalize().scipy()
+    mag_20k.adjacency.row_normalize()
     one_array = mag_20k.features["text"].nbytes
     assert _peak_bytes(lambda: _print_dataset_stats(mag_20k, 0.5)) <= 2 * one_array
     assert len(capsys.readouterr().out.splitlines()) == 2

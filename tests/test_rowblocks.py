@@ -11,10 +11,12 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import scipy_mix
 from magsim import tensor as T
 from magsim.aggregation import mean_aggregate
 from magsim.experiments import TrainConfig, train
 from magsim.graph import CsrMatrix, ModalitySpec, SyntheticSpec, generate
+from magsim.validation import directed_chain
 
 N = 3 * T.ROW_BLOCK + 17      # three blocks, none of them a multiple of the block size
 
@@ -115,8 +117,22 @@ def test_mean_aggregate_bits_match_scipy_at_any_thread_count(alpha):
 
     one, two = at_threads(run)
     assert_bytes_equal(one, two)
-    p, p_t = adj.mix_operator(alpha)
+    p, p_t = scipy_mix(adj, alpha)
     assert_bytes_equal(one, [p @ h, p_t @ c])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("graph", ["isolated", "directed-chain", "self-loop"])
+def test_mix_operator_arrays_are_scipys(graph, alpha):
+    # the isolated-node graph spans several row blocks; the chain is not
+    # symmetric; at the self-loop alpha and (1-alpha)*a_hat add into one entry
+    adj = {"isolated": _isolated_adjacency, "directed-chain": lambda: directed_chain(9),
+           "self-loop": lambda: CsrMatrix(3, 3, [0, 2, 3, 5], [0, 1, 2, 0, 2],
+                                          [1.0, 2.0, 1.0, 3.0, 1.0])}[graph]()
+    for got, want in zip(adj.mix_operator(alpha), scipy_mix(adj, alpha)):
+        assert_bytes_equal([got.row_offsets, got.col_indices, got.values],
+                           [want.indptr.astype(np.int64), want.indices.astype(np.int64),
+                            want.data])
 
 
 def test_relu_bits_match_numpy_at_any_thread_count():

@@ -1,7 +1,10 @@
 """Autodiff engine: op semantics, gradient correctness, tape rules, Adam."""
 
 import math
+import re
+import sys
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -438,3 +441,18 @@ def test_adam_weight_decay_pulls_to_zero():
     T.adam_step(params, {"x": np.zeros((1, 1))}, T.AdamState(), lr=0.1,
                 weight_decay=1e-2)
     assert params["x"][0, 0] < 5.0
+
+
+def test_scipy_sparse_reuses_magsims_compiled_routines():
+    import scipy.sparse
+    from scipy.sparse import _sparsetools
+    assert _sparsetools is scipy.sparse._compressed._sparsetools is T._sparsetools
+
+
+def test_missing_sparsetools_is_an_import_error(monkeypatch, tmp_path):
+    # no fallback to the scipy.sparse package: the error names where it looked
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    monkeypatch.setattr(T.importlib.util, "find_spec",
+                        lambda name: types.SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "sparse"))):
+        T._load_sparsetools()
