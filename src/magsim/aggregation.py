@@ -16,20 +16,20 @@ from .graph import CsrMatrix
 
 
 def mean_aggregate(h: T.Tensor, adj: CsrMatrix, alpha: float) -> T.Tensor:
-    """alpha * h + (1-alpha) * neighbor mean; differentiable in h.  At
-    alpha = 0 it is the plain neighbor mean, a zero row at isolated nodes.
-    ``adj`` is any square adjacency; its row-normalized copy A_hat sets
-    the mean weights.
-
-    One product with the adjacency's cached operator P = alpha*I +
-    (1-alpha)*A_hat, recorded as one tape node whose backward is P^T @ g."""
+    """alpha * h + (1-alpha) * neighbor mean, alpha in [0,1); differentiable
+    in h.  At alpha = 0 it is the plain neighbor mean, a zero row at isolated
+    nodes.  ``adj`` is any square adjacency, its row-normalized copy A_hat the
+    mean weights.  One tape node: tensor._spmm mixes alpha * h into the product
+    with the cached A_hat, and the backward mixes g into A_hat^T @ g."""
     if not isinstance(adj, CsrMatrix):
         raise TypeError("mean_aggregate expects a CsrMatrix adjacency")
-    if adj.num_cols != h.rows:
+    if not adj.num_rows == adj.num_cols == h.rows:
         raise ShapeError(f"mean_aggregate: adjacency {adj.num_rows}x{adj.num_cols} "
                          f"vs h {h.data.shape}")
-    p, p_t = adj.mix_operator(alpha)
-    return T._op(T._spmm(p, h.data), (h,), (lambda g: T._spmm(p_t, g),))
+    if not 0.0 <= alpha < 1.0:
+        raise ContractError(f"mean_aggregate: alpha must be in [0,1), got {alpha}")
+    a_hat, a_hat_t = adj.mean_operator()
+    return T._op(T._spmm(a_hat, h.data, alpha), (h,), (lambda g: T._spmm(a_hat_t, g, alpha),))
 
 
 class GnnStack:
@@ -86,16 +86,14 @@ class GnnStack:
 
 
 def ego_jacobian_diag(adj: CsrMatrix, alpha: float, num_layers: int, node: int) -> float:
-    """(node, node) entry of P^L, P = alpha*I + (1-alpha)*A_hat, via L
-    products of the cached operator with a basis vector.  Equals the
+    """(node, node) entry of P^L, P = alpha*I + (1-alpha)*A_hat: L
+    mean_aggregate steps applied to an untaped basis vector.  Equals the
     structural ego-gradient through L linear mean-aggregation layers."""
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must be in (0,1), got {alpha}")
     if not 0 <= node < adj.num_rows:
         raise ContractError(f"node {node} out of range [0,{adj.num_rows})")
-    p, _ = adj.mix_operator(alpha)
-    v = np.zeros((adj.num_rows, 1))
-    v[node] = 1.0
+    v = T.Tensor(np.eye(adj.num_rows, 1, -node))      # the basis vector e_node
     for _ in range(num_layers):
-        v = T._spmm(p, v)
-    return float(v[node, 0])
+        v = mean_aggregate(v, adj, alpha)
+    return float(v.data[node, 0])

@@ -67,7 +67,7 @@ class CsrMatrix:
         self.values = np.asarray(values, dtype=np.float64)
         self.normalized = bool(normalized)
         self._norm = None
-        self._mix = {}               # alpha -> (P, P^T), see mix_operator
+        self._mean = None            # (A_hat, A_hat^T), see mean_operator
         self._validate()
 
     def _validate(self):
@@ -134,25 +134,20 @@ class CsrMatrix:
                                    self.col_indices, values, normalized=True)
         return self._norm
 
-    def mix_operator(self, alpha: float):
-        """Cached CSR pair (P, P^T) with P = alpha*I + (1-alpha)*A_hat, A_hat
-        this matrix row-normalized: one mean-mix aggregation step is the
-        single product P @ h.  SciPy's routines behind ``+`` and ``.T.tocsr()``
-        build both; the sum drops exact zeros, so P at alpha 0 is A_hat."""
-        if self.num_rows != self.num_cols:
-            raise ShapeError(f"mean aggregation needs a square adjacency, "
-                             f"got {self.num_rows}x{self.num_cols}")
-        if alpha not in self._mix:
-            n, a_hat = self.num_rows, self.row_normalize()
-            eye, size = np.arange(n + 1, dtype=np.int64), n + a_hat.nnz
-            ro, ci, v = np.empty(n + 1, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
-            _sparsetools.csr_plus_csr(n, n, eye, eye[:-1], np.full(n, float(alpha)), a_hat.row_offsets,
-                                      a_hat.col_indices, a_hat.values * (1.0 - alpha), ro, ci, v)
-            p = CsrMatrix(n, n, ro, ci[:ro[-1]], v[:ro[-1]])
-            t = [np.empty_like(a) for a in (p.row_offsets, p.col_indices, p.values)]
-            _sparsetools.csr_tocsc(n, n, p.row_offsets, p.col_indices, p.values, *t)
-            self._mix[alpha] = (p, CsrMatrix(n, n, *t))
-        return self._mix[alpha]
+    def mean_operator(self):
+        """Cached (A_hat, A_hat^T), this matrix row-normalized and its transpose
+        (SciPy's csr_tocsc), on which tensor._spmm mixes at any alpha.  A_hat^T
+        shares A_hat's index arrays where the pattern is symmetric."""
+        if self._mean is None:
+            a = self.row_normalize()
+            ro = np.empty(a.num_cols + 1, dtype=np.int64)
+            ci, v = np.empty_like(a.col_indices), np.empty_like(a.values)
+            _sparsetools.csr_tocsc(a.num_rows, a.num_cols, a.row_offsets, a.col_indices, a.values,
+                                   ro, ci, v)
+            if np.array_equal(ro, a.row_offsets) and np.array_equal(ci, a.col_indices):
+                ro, ci = a.row_offsets, a.col_indices
+            self._mean = (a, CsrMatrix(a.num_cols, a.num_rows, ro, ci, v))
+        return self._mean
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.num_rows, self.num_cols))

@@ -125,17 +125,23 @@ def _elementwise(fn, *arrays, dtype=np.float64) -> np.ndarray:
                     lambda out, lo, hi: fn(*(a[lo:hi] for a in arrays), out=out), dtype)
 
 
-def _spmm(a, x: np.ndarray) -> np.ndarray:
-    """a @ x for a graph.CsrMatrix a and a dense x, by row blocks of a: bit
-    for bit SciPy's own product, which is the same per-row kernel."""
+def _spmm(a, x: np.ndarray, alpha: float = 0.0) -> np.ndarray:
+    """alpha*x + (1-alpha)*(a @ x) for a graph.CsrMatrix a, by its row blocks:
+    a block starts at x*alpha/(1-alpha), SciPy's kernel adds a @ x into it and
+    1-alpha scales it, with no temporary.  At alpha 0 it is SciPy's product."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     cols = x.shape[1]
     offsets, indices, values, flat = a.row_offsets, a.col_indices, a.values, x.ravel()
 
     def fill(out, lo, hi):
-        out.fill(0.0)        # the kernel adds into its output
+        if alpha:
+            np.multiply(x[lo:hi], alpha / (1.0 - alpha), out=out)
+        else:
+            out.fill(0.0)    # not x * 0: no -0.0 at isolated rows, no NaN from an inf
         _sparsetools.csr_matvecs(hi - lo, a.num_cols, cols, offsets[lo:hi + 1], indices,
                                  values, flat, out.ravel())
+        if alpha:
+            out *= 1.0 - alpha
 
     return _by_rows((a.num_rows, cols), fill)
 

@@ -70,6 +70,24 @@ def _case_mean_aggregate(rng):
     return {"h": h}, run
 
 
+def _case_mean_aggregate_directed(rng):
+    # a directed chain i -> i+1 with skip links i -> i+2 and unequal weights:
+    # not symmetric, so the backward reads a separately transposed A_hat^T;
+    # the last node has no out-edge
+    n = 6
+    pattern = [[j for j in (i + 1, i + 2) if j < n] for i in range(n)]
+    offsets = np.cumsum([0] + [len(cols) for cols in pattern])
+    adj = CsrMatrix(n, n, offsets, sum(pattern, []), rng.uniform(0.5, 2.0, offsets[-1]))
+    alpha = float(rng.uniform(0.1, 0.9))
+    h = rng.standard_normal((n, 3))
+    c = rng.standard_normal((n, 3))
+
+    def run(p, tape):
+        return T.sum_all(T.mul(mean_aggregate(p["h"], adj, alpha), T.Tensor(c, None)))
+
+    return {"h": h}, run
+
+
 def _layer_case(rng, alpha, in_dim, out_dim, variant="mean-mix"):
     """A one-layer weighted stack, gradients in both h and the weight."""
     adj = _random_adj(rng, 6)
@@ -266,6 +284,7 @@ ALL_CASES = {
     "matmul": _case_matmul,
     "neighbor-mean": _case_neighbor_mean,
     "mean_aggregate": _case_mean_aggregate,
+    "mean_aggregate-directed": _case_mean_aggregate_directed,
     "mean-agg-layer-narrowing": _case_narrowing_layer,
     "ego-concat-layer": _case_ego_concat_layer,
     "folded-head": _case_folded_head,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fd_checks
-from conftest import isolated_node_mag, randomize_params, scipy_csr
+from conftest import isolated_node_mag, randomize_params
 from magsim import aggregation
 from magsim import tensor as T
 from magsim.aggregation import GnnStack, ego_jacobian_diag, mean_aggregate
@@ -64,6 +64,16 @@ def test_mean_aggregate_rejects_malformed_adjacency():
         mean_aggregate(T.Tensor(np.ones((3, 2))), np.eye(3), 0.5)
 
 
+@pytest.mark.parametrize("alpha", [1.0, -0.1, float("nan"), float("inf")])
+def test_alpha_outside_zero_to_one_is_rejected(alpha):
+    # the kernel divides by 1-alpha: alpha = 1 must not reach it
+    adj = ring_adj(4)
+    with pytest.raises(ContractError):
+        mean_aggregate(T.Tensor(np.ones((4, 2))), adj, alpha)
+    with pytest.raises(ContractError):
+        ego_jacobian_diag(adj, alpha, 2, 0)
+
+
 def test_neighbor_mean_mutual_pair():
     adj = CsrMatrix.from_undirected_edges(np.array([[0, 1]]), 2).row_normalize()
     out = mean_aggregate(T.Tensor([[1.0, 0.0], [0.0, 1.0]]), adj, 0.0)
@@ -103,18 +113,6 @@ def test_mean_operator_normalizes_a_raw_adjacency():
     for node in range(5):
         assert np.array_equal(ego_jacobian_diag(raw, 0.3, 3, node),
                               ego_jacobian_diag(norm, 0.3, 3, node))
-
-
-def test_alpha_zero_operator_is_the_adjacency():
-    # node 2 is isolated: the explicit zero alpha*I would put on the diagonal
-    # must not be stored, so P is A_hat's own CSR and P^T its transpose
-    adj = CsrMatrix.from_undirected_edges(np.array([[0, 1], [0, 3], [1, 3]]), 4).row_normalize()
-    assert adj.degrees[2] == 0
-    p, p_t = adj.mix_operator(0.0)
-    a_hat = scipy_csr(adj)
-    for got, want in ((p, a_hat), (p_t, a_hat.T.tocsr())):
-        for field, ref in (("row_offsets", "indptr"), ("col_indices", "indices"), ("values", "data")):
-            assert np.array_equal(getattr(got, field), getattr(want, ref)), field
 
 
 def test_mean_aggregate_records_one_tape_node():

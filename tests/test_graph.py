@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 
 from conftest import scipy_csr, three_node_mag
 from magsim import graph
+from magsim import tensor as T
+from magsim.aggregation import mean_aggregate
 from magsim.cli import _print_dataset_stats
 from magsim.errors import ContractError, DatasetError, ShapeError
 from magsim.graph import (CsrMatrix, Mag, ModalitySpec, SyntheticSpec,
                           _sorted_unique, calibrate, corrupt_modality, generate,
                           inject_noise, load, save)
+from magsim.validation import directed_chain
 
 
 # ---------------------------------------------------------------------------
@@ -922,10 +925,32 @@ def test_caches_stay_out_of_pickles():
     size = len(pickle.dumps(mag))
     norm = mag.adjacency.row_normalize()
     for adj in (mag.adjacency, norm):
-        adj.mix_operator(0.5)
-        adj.mix_operator(0.0)
+        adj.mean_operator()
     assert len(pickle.dumps(mag)) == size
     assert len(pickle.dumps(norm)) == len(pickle.dumps(CsrMatrix(*norm._args())))
     copy = pickle.loads(pickle.dumps(mag))
     assert copy == mag
     assert copy.adjacency.row_normalize() == norm
+
+
+def test_mean_operator_holds_two_value_arrays_for_every_alpha(mag_20k):
+    # one (A_hat, A_hat^T) pair serves every alpha; on a symmetric pattern
+    # A_hat^T shares A_hat's index arrays, so the caches add A_hat's values
+    # and A_hat^T's and nothing per alpha
+    adj = CsrMatrix(*mag_20k.adjacency._args())         # same arrays, no caches
+    h = T.Tensor(np.ones((adj.num_rows, 4)))
+    T._set_threads(1)           # no pool threads allocating while traced
+    tracemalloc.start()
+    try:
+        for alpha in (0.0, 0.25, 0.5):
+            mean_aggregate(h, adj, alpha)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        T._set_threads(None)
+    assert held <= 2 * adj.nnz * 8 + 16_384
+    a_hat, a_hat_t = adj.mean_operator()
+    assert a_hat_t.col_indices is a_hat.col_indices is adj.col_indices
+    assert a_hat_t.row_offsets is a_hat.row_offsets
+    chain_hat, chain_t = directed_chain(9).mean_operator()
+    assert chain_t.col_indices is not chain_hat.col_indices

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import scipy_mix
+from conftest import scipy_csr, scipy_mix
 from magsim import tensor as T
 from magsim.aggregation import mean_aggregate
 from magsim.experiments import TrainConfig, train
@@ -102,6 +102,19 @@ def _isolated_adjacency():
     return adj
 
 
+def mix_by_rows(a, x, alpha):
+    """alpha*x + (1-alpha)*(a @ x) for a SciPy CSR matrix a, one row at a time
+    in the fused kernel's order: x_i * alpha/(1-alpha), plus each a_ij * x_j
+    in stored column order, times 1-alpha."""
+    out = np.empty_like(x)
+    for i in range(a.shape[0]):
+        acc = x[i] * (alpha / (1.0 - alpha))
+        for k in range(a.indptr[i], a.indptr[i + 1]):
+            acc = acc + a.data[k] * x[a.indices[k]]
+        out[i] = acc * (1.0 - alpha)
+    return out
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_mean_aggregate_bits_match_scipy_at_any_thread_count(alpha):
     adj = _isolated_adjacency()
@@ -117,22 +130,44 @@ def test_mean_aggregate_bits_match_scipy_at_any_thread_count(alpha):
 
     one, two = at_threads(run)
     assert_bytes_equal(one, two)
-    p, p_t = scipy_mix(adj, alpha)
-    assert_bytes_equal(one, [p @ h, p_t @ c])
+    a_hat = scipy_csr(adj.row_normalize())
+    if alpha == 0.0:        # the plain neighbor mean is SciPy's own product
+        assert_bytes_equal(one, [a_hat @ h, a_hat.T.tocsr() @ c])
+    else:
+        assert_bytes_equal(one, [mix_by_rows(a_hat, h, alpha),
+                                 mix_by_rows(a_hat.T.tocsr(), c, alpha)])
+        p, p_t = scipy_mix(adj, alpha)
+        for got, want in zip(one, [p @ h, p_t @ c]):
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
 @pytest.mark.parametrize("graph", ["isolated", "directed-chain", "self-loop"])
-def test_mix_operator_arrays_are_scipys(graph, alpha):
+def test_mean_operator_arrays_are_scipys(graph, alpha):
     # the isolated-node graph spans several row blocks; the chain is not
-    # symmetric; at the self-loop alpha and (1-alpha)*a_hat add into one entry
+    # symmetric; at the self-loop alpha and (1-alpha)*a_hat meet in one entry
+    import scipy.sparse as sp
     adj = {"isolated": _isolated_adjacency, "directed-chain": lambda: directed_chain(9),
            "self-loop": lambda: CsrMatrix(3, 3, [0, 2, 3, 5], [0, 1, 2, 0, 2],
                                           [1.0, 2.0, 1.0, 3.0, 1.0])}[graph]()
-    for got, want in zip(adj.mix_operator(alpha), scipy_mix(adj, alpha)):
+    raw = scipy_csr(adj)
+    sums = np.asarray(raw.sum(axis=1)).ravel()
+    a_hat = (sp.diags(1.0 / np.where(sums == 0.0, 1.0, sums)) @ raw).tocsr()
+    a_hat.sort_indices()
+    for got, want in zip(adj.mean_operator(), (a_hat, a_hat.T.tocsr())):
         assert_bytes_equal([got.row_offsets, got.col_indices, got.values],
                            [want.indptr.astype(np.int64), want.indices.astype(np.int64),
                             want.data])
+    # the mix at alpha on these arrays is SciPy's P @ h, and its backward P^T @ c
+    rng = np.random.default_rng(8)
+    h, c = rng.standard_normal((adj.num_rows, 5)), rng.standard_normal((adj.num_rows, 5))
+    tape = T.Tape()
+    x = T.Tensor(h, tape)
+    out = mean_aggregate(x, adj, alpha)
+    tape.backward(T.sum_all(T.mul(out, T.Tensor(c))))
+    p, p_t = scipy_mix(adj, alpha)
+    for got, want in zip([out.data, x.grad], [p @ h, p_t @ c]):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_relu_bits_match_numpy_at_any_thread_count():
