@@ -169,9 +169,11 @@ def cmd_sweep_noise(args) -> int:
     kinds, seeds = sweep["kinds"], sweep["seeds"]
     for scale in scales:
         check_number("sweep.scales", scale, low=0)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = train_config(doc, args.seed)
     mag = _load_data(args.data)
-    with _pool_map(args.jobs) as pool_map:
+    with _pool_map(min(args.jobs, len(scales) * len(kinds) * len(seeds))) as pool_map:
         rows, annotation = sweep_noise(mag, scales, kinds, seeds, cfg,
                                        pool_map=pool_map)
     write_csv(args.out, "sweep", rows)

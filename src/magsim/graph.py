@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DatasetError, ShapeError, check_number
-from .tensor import _sparsetools, _spmm
+from .tensor import ROW_BLOCK, _by_rows, _row_blocks, _sparsetools, _spmm_rows
 
 
 def _f32_grid(x: np.ndarray) -> np.ndarray:
@@ -29,23 +29,22 @@ def _f32_grid(x: np.ndarray) -> np.ndarray:
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """np.unique of a 1-D integer array by one sort and an adjacent-difference
-    mask (np.unique itself may take a far slower hash path)."""
-    keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
-
-
-_BLOCK_ROWS = 1024      # rows per block of an N-sized pass: its temporaries stay small
+    """np.unique of a 1-D integer array by one sort, in place, and a mask of
+    the first of each run (np.unique itself may take a far slower hash path)."""
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _row_mean(fn, rows: np.ndarray) -> float:
     """The mean over ``rows`` of the per-row values that fn gives for each
-    block of at most _BLOCK_ROWS of them: bit for bit the mean of one pass
+    runner block of them (tensor._by_rows): bit for bit the mean of one pass
     over all rows, with block-sized temporaries."""
-    values = np.empty(rows.size)
-    for i in range(0, rows.size, _BLOCK_ROWS):
-        values[i:i + _BLOCK_ROWS] = fn(rows[i:i + _BLOCK_ROWS])
-    return float(np.mean(values))
+    def fill(out, lo, hi):
+        out[:] = fn(rows[lo:hi])
+
+    return float(np.mean(_by_rows((rows.size,), fill)))
 
 
 def _same(a, b) -> bool:
@@ -127,9 +126,16 @@ class CsrMatrix:
         if self.normalized:
             return self
         if self._norm is None:
-            row_ids = np.repeat(np.arange(self.num_rows), self.degrees)
-            sums = np.bincount(row_ids, self.values, minlength=self.num_rows)
-            values = self.values / np.where(sums == 0.0, 1.0, sums)[row_ids]
+            ro, v = self.row_offsets, self.values
+            values = np.empty_like(v)
+
+            def divide(lo, hi):     # rows lo:hi: bincount's sums in entry order, then the division
+                ids = np.repeat(np.arange(hi - lo), np.diff(ro[lo:hi + 1]))
+                sums = np.bincount(ids, v[ro[lo]:ro[hi]], minlength=hi - lo)
+                sums[sums == 0.0] = 1.0
+                np.divide(v[ro[lo]:ro[hi]], sums[ids], out=values[ro[lo]:ro[hi]])
+
+            _row_blocks(self.num_rows, divide)
             self._norm = CsrMatrix(self.num_rows, self.num_cols, self.row_offsets,
                                    self.col_indices, values, normalized=True)
         return self._norm
@@ -268,16 +274,31 @@ def _orthogonal_signals(rng, dim, num_classes, norm):
 
 
 def _draw_edges(rng, labels, num_classes, num_nodes, mean_degree, homophily):
-    """Undirected edge list with mean degree ~= mean_degree.
+    """Undirected edge list with mean degree ~= mean_degree, as sorted
+    (lo, hi) pairs.
 
     Both endpoints' initiators are drawn uniformly, so realized degrees are
     Poisson-like around the mean, as in real sparse graphs.
     """
     num_edges = int(round(num_nodes * mean_degree / 2.0))
     init = rng.integers(0, num_nodes, num_edges)
+    partners = _draw_partners(rng, labels, num_classes, init, rng.random(num_edges) < homophily)
+    keys = np.minimum(init, partners)        # lo*N + hi, in place
+    keys *= num_nodes
+    np.maximum(init, partners, out=partners)
+    keys += partners
+    del init, partners
+    keys = _sorted_unique(keys)
+    pairs = np.empty((keys.size, 2), dtype=np.int64)   # lo < hi: no partner is its initiator
+    np.divmod(keys, num_nodes, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
+
+
+def _draw_partners(rng, labels, num_classes, init, same):
+    """Each initiator's partner: a node of its own class where ``same``, of
+    another class elsewhere, and never the initiator itself."""
     init_cls = labels[init]
-    same = rng.random(num_edges) < homophily
-    partners = np.empty(num_edges, dtype=np.int64)
+    partners = np.empty(init.size, dtype=np.int64)
     for c in range(num_classes):
         members = np.flatnonzero(labels == c)
         others = np.flatnonzero(labels != c)
@@ -295,10 +316,7 @@ def _draw_edges(rng, labels, num_classes, num_nodes, mean_degree, homophily):
             if others.size == 0:
                 raise ContractError("single-class graph cannot draw cross-class edges")
             partners[pick] = others[rng.integers(0, others.size, pick.sum())]
-    keys = _sorted_unique(np.minimum(init, partners) * num_nodes
-                          + np.maximum(init, partners))
-    pairs = np.stack(np.divmod(keys, num_nodes), axis=1)   # sorted (lo, hi)
-    return pairs[pairs[:, 0] != pairs[:, 1]]
+    return partners
 
 
 def generate(spec: SyntheticSpec) -> Mag:
@@ -319,15 +337,19 @@ def generate(spec: SyntheticSpec) -> Mag:
         sig = _orthogonal_signals(rng, m.dim, c, m.signal_norm)
         x = rng.standard_normal((n, m.dim))
         x *= np.sqrt(m.noise_var / m.dim)
-        for i in range(0, n, _BLOCK_ROWS):   # plus the class signal, on the float32 grid
-            b = slice(i, i + _BLOCK_ROWS)
-            x[b] = (x[b] + sig[labels[b]]).astype(np.float32)
+
+        def snap(lo, hi, x=x, sig=sig):     # plus the class signal, on the float32 grid
+            b = x[lo:hi]
+            b += sig[labels[lo:hi]]
+            b[...] = b.astype(np.float32)
+
+        _row_blocks(n, snap)
         signals[m.name] = sig
         features[m.name] = x
         modalities.append((m.name, m.dim))
 
-    pairs = _draw_edges(rng, labels, c, n, spec.mean_degree, spec.homophily)
-    adjacency = CsrMatrix.from_undirected_edges(pairs, n)
+    adjacency = CsrMatrix.from_undirected_edges(
+        _draw_edges(rng, labels, c, n, spec.mean_degree, spec.homophily), n)
 
     perm = rng.permutation(n)
     n_train = int(round(spec.split_fracs[0] * n))
@@ -355,21 +377,41 @@ def calibrate(mag: Mag, modality: str) -> tuple:
     active = np.flatnonzero(mag.adjacency.degrees > 0)
     if not active.size:
         raise ContractError("calibration needs at least one non-isolated node")
-    xbar = _spmm(mag.adjacency.row_normalize(), mag.features[modality])
-    sig = mag.signals[modality]
+    a = mag.adjacency.row_normalize()
+    x = np.ascontiguousarray(mag.features[modality], dtype=np.float64)
+    sig, labels = mag.signals[modality], mag.labels
 
     def mean(fn):       # of fn(neighborhood means, own class signals) over the active rows
-        return _row_mean(lambda rows: fn(xbar[rows], sig[mag.labels[rows]]), active)
+        def block(rows):    # the span of rows, isolated ones too; then rows' values
+            lo, hi = rows[0], rows[-1] + 1
+            xbar = np.empty((hi - lo, x.shape[1]))
+            _spmm_rows(a, x, xbar, lo, hi)
+            return fn(xbar, sig[labels[lo:hi]])[rows - lo]
+        return _row_mean(block, active)
 
-    beta = mean(lambda x, s: np.sum(x * s, axis=1) / np.sum(s ** 2, axis=1))
-    return beta, mean(lambda x, s: np.sum((x - beta * s) ** 2, axis=1))
+    def alignment(xbar, s):     # <xbar, s> / ||s||^2, in place on both
+        dots = np.sum(np.multiply(xbar, s, out=xbar), axis=1)
+        return dots / np.sum(np.square(s, out=s), axis=1)
+
+    beta = mean(alignment)
+
+    def residual(xbar, s):      # ||xbar - beta s||^2, in place on both
+        s *= beta
+        return np.sum(np.square(np.subtract(xbar, s, out=xbar), out=xbar), axis=1)
+
+    return beta, mean(residual)
 
 
 def intrinsic_noise(mag: Mag, modality: str) -> float:
     """eps^2 hat = E||x_v - s_v||^2 over all nodes: a modality's encoder noise."""
     x, sig = mag.features[modality], mag.signals[modality]
-    return _row_mean(lambda rows: ((x[rows] - sig[mag.labels[rows]]) ** 2).sum(axis=1),
-                     np.arange(mag.num_nodes))
+
+    def block(rows):        # in place on the gathered rows
+        d = x[rows]
+        d -= sig[mag.labels[rows]]
+        return np.sum(np.square(d, out=d), axis=1)
+
+    return _row_mean(block, np.arange(mag.num_nodes))
 
 
 def inject_noise(mag: Mag, scale: float, seed: int) -> Mag:
@@ -436,8 +478,8 @@ def _write_files(mag: Mag, directory: str):
 
     ro, ci = mag.adjacency.row_offsets, mag.adjacency.col_indices
     with open(os.path.join(directory, "edges.csv"), "w", encoding="utf-8") as fh:
-        for i in range(0, mag.num_nodes, _BLOCK_ROWS):   # each undirected edge once
-            j = min(i + _BLOCK_ROWS, mag.num_nodes)
+        for i in range(0, mag.num_nodes, ROW_BLOCK):     # each undirected edge once
+            j = min(i + ROW_BLOCK, mag.num_nodes)
             src = np.repeat(np.arange(i, j), np.diff(ro[i:j + 1]))
             dst = ci[ro[i]:ro[j]]
             upper = src < dst
@@ -445,7 +487,9 @@ def _write_files(mag: Mag, directory: str):
             fh.write("%d,%d\n" * (len(flat) // 2) % tuple(flat))
 
     for name, _dim in mag.modalities:
-        mag.features[name].astype("<f4").tofile(os.path.join(directory, f"feat_{name}.f32"))
+        with open(os.path.join(directory, f"feat_{name}.f32"), "wb") as fh:
+            for i in range(0, mag.num_nodes, ROW_BLOCK):
+                mag.features[name][i:i + ROW_BLOCK].astype("<f4").tofile(fh)
         if mag.signals is not None and name in mag.signals:
             mag.signals[name].astype("<f4").tofile(os.path.join(directory, f"signals_{name}.f32"))
 

@@ -41,14 +41,15 @@ def _load_sparsetools():
 _sparsetools = _load_sparsetools()
 
 # Row-block runner.  The N-row kernels below (dense products, sparse products,
-# ReLU, dropout) cut their result into equal blocks of at least ROW_BLOCK rows
-# and run the blocks on a thread pool; NumPy's products and ufuncs and SciPy's
-# sparse product release the GIL.  The blocks depend on the row count alone,
-# never on the thread count or the width, so a result has the same bits at any
-# thread count.  A pool thread runs only closures over NumPy/SciPy calls: no
-# magsim function.  The runner, not BLAS, spreads the work over the cores: from
-# the first kernel on, numpy's OpenBLAS runs at one thread, so two cores run
-# two busy threads.
+# ReLU, dropout) and the N-row passes of the data layer (graph.py) cut their
+# work into equal blocks of at least ROW_BLOCK rows and run the blocks on a
+# thread pool; NumPy's products and ufuncs and SciPy's sparse product release
+# the GIL.  The blocks depend on the row count alone, never on the thread count
+# or the width, so a result has the same bits at any thread count.  A pool
+# thread runs only closures over NumPy/SciPy calls and private helpers: no
+# public magsim function.  The runner, not BLAS, spreads the work over the
+# cores: from the first kernel on, numpy's OpenBLAS runs at one thread, so two
+# cores run two busy threads.
 ROW_BLOCK = 2048
 _threads = None         # runner threads; the CPU affinity until _set_threads
 _pool = None            # created on first use
@@ -85,21 +86,18 @@ if hasattr(os, "register_at_fork"):     # without fork there is no inherited poo
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _by_rows(shape, fill, dtype=np.float64) -> np.ndarray:
-    """A new array of ``shape`` filled by fill(block, lo, hi), ``block`` being
-    its rows lo:hi, once for each fixed row block: n // ROW_BLOCK blocks (at
-    least one) whose sizes differ by at most one row.  The calling thread and
-    the pool's take the blocks from one shared iterator; with one block or one
-    thread they all run inline."""
+def _row_blocks(n: int, run):
+    """run(lo, hi) once for each fixed block of n rows: n // ROW_BLOCK blocks
+    (at least one) whose sizes differ by at most one row.  The calling thread
+    and the pool's take the blocks from one shared iterator; with one block or
+    one thread they all run inline."""
     global _pool
-    out = np.empty(shape, dtype=dtype)
-    n = shape[0]
     k = max(1, n // ROW_BLOCK)
     blocks = iter([(n * i // k, n * (i + 1) // k) for i in range(k)])
 
     def drain():        # next() on a list iterator is atomic under the GIL
         for lo, hi in blocks:
-            fill(out[lo:hi], lo, hi)
+            run(lo, hi)
 
     helpers = min(_row_threads(), k) - 1
     if helpers and _pool is None:
@@ -111,6 +109,13 @@ def _by_rows(shape, fill, dtype=np.float64) -> np.ndarray:
         wait(futures)
     for f in futures:
         f.result()      # re-raises a block's exception
+
+
+def _by_rows(shape, fill, dtype=np.float64) -> np.ndarray:
+    """A new array of ``shape`` filled by fill(block, lo, hi), ``block`` being
+    its rows lo:hi, once for each of _row_blocks' blocks."""
+    out = np.empty(shape, dtype=dtype)
+    _row_blocks(shape[0], lambda lo, hi: fill(out[lo:hi], lo, hi))
     return out
 
 
@@ -125,25 +130,26 @@ def _elementwise(fn, *arrays, dtype=np.float64) -> np.ndarray:
                     lambda out, lo, hi: fn(*(a[lo:hi] for a in arrays), out=out), dtype)
 
 
+def _spmm_rows(a, x: np.ndarray, out: np.ndarray, lo: int, hi: int, alpha: float = 0.0):
+    """Rows lo:hi of alpha*x + (1-alpha)*(a @ x) into ``out``, for a
+    graph.CsrMatrix a and a C-contiguous float64 x: the block starts at
+    x*alpha/(1-alpha), SciPy's kernel adds a @ x into it and 1-alpha scales
+    it, with no temporary.  At alpha 0 it is SciPy's product."""
+    if alpha:
+        np.multiply(x[lo:hi], alpha / (1.0 - alpha), out=out)
+    else:
+        out.fill(0.0)        # not x * 0: no -0.0 at isolated rows, no NaN from an inf
+    _sparsetools.csr_matvecs(hi - lo, a.num_cols, x.shape[1], a.row_offsets[lo:hi + 1],
+                             a.col_indices, a.values, x.ravel(), out.ravel())
+    if alpha:
+        out *= 1.0 - alpha
+
+
 def _spmm(a, x: np.ndarray, alpha: float = 0.0) -> np.ndarray:
-    """alpha*x + (1-alpha)*(a @ x) for a graph.CsrMatrix a, by its row blocks:
-    a block starts at x*alpha/(1-alpha), SciPy's kernel adds a @ x into it and
-    1-alpha scales it, with no temporary.  At alpha 0 it is SciPy's product."""
+    """alpha*x + (1-alpha)*(a @ x), by the row blocks of _spmm_rows."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    cols = x.shape[1]
-    offsets, indices, values, flat = a.row_offsets, a.col_indices, a.values, x.ravel()
-
-    def fill(out, lo, hi):
-        if alpha:
-            np.multiply(x[lo:hi], alpha / (1.0 - alpha), out=out)
-        else:
-            out.fill(0.0)    # not x * 0: no -0.0 at isolated rows, no NaN from an inf
-        _sparsetools.csr_matvecs(hi - lo, a.num_cols, cols, offsets[lo:hi + 1], indices,
-                                 values, flat, out.ravel())
-        if alpha:
-            out *= 1.0 - alpha
-
-    return _by_rows((a.num_rows, cols), fill)
+    return _by_rows((a.num_rows, x.shape[1]),
+                    lambda out, lo, hi: _spmm_rows(a, x, out, lo, hi, alpha))
 
 
 class Tape:

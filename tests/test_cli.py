@@ -558,6 +558,57 @@ def test_sweep_pool_is_shut_down(tmp_path, config_path, dataset_dir):
     assert multiprocessing.active_children() == []
 
 
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its worker count and
+    runs the cells in this process: no worker is started."""
+    workers = []
+
+    def __init__(self, max_workers, **_):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+@pytest.fixture()
+def recording_pool(monkeypatch):
+    monkeypatch.setattr("magsim.cli.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    return _RecordingPool.workers
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_a_config_error(tmp_path, config_path, dataset_dir, capsys,
+                                                recording_pool, jobs):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-noise", "--config", config_path, "--data", dataset_dir,
+                 "--out", str(out), "--scales", "0", "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists() and recording_pool == []
+
+
+@pytest.mark.parametrize("jobs,scales,workers", [("64", ["0", "1"], [2]), ("2", ["0", "1", "2"], [2]),
+                                                 ("64", ["0"], [])],
+                         ids=["more-jobs-than-cells", "fewer-jobs-than-cells", "one-cell"])
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, config_path, dataset_dir,
+                                                 recording_pool, jobs, scales, workers):
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["sweep"] = {"kinds": ["ef-mlp"], "seeds": [0]}
+    path = tmp_path / "one_kind.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "sweep.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep-noise", "--config", str(path), "--data", dataset_dir,
+                     "--out", out, "--scales", *scales, "--jobs", jobs]) == 0
+    assert recording_pool == workers
+    assert len(open(out).read().splitlines()) == 1 + len(scales)
+
+
 def test_sweep_csv_reproducible(tmp_path, config_path, dataset_dir):
     _, a = run_sweep(tmp_path, config_path, dataset_dir, "a.csv")
     _, b = run_sweep(tmp_path, config_path, dataset_dir, "b.csv")

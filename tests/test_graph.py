@@ -20,7 +20,7 @@ from magsim.cli import _print_dataset_stats
 from magsim.errors import ContractError, DatasetError, ShapeError
 from magsim.graph import (CsrMatrix, Mag, ModalitySpec, SyntheticSpec,
                           _sorted_unique, calibrate, corrupt_modality, generate,
-                          inject_noise, load, save)
+                          inject_noise, intrinsic_noise, load, save)
 from magsim.validation import directed_chain
 
 
@@ -90,6 +90,27 @@ def test_csr_row_normalize_sums_to_one():
         # claiming normalization without it being true is rejected
         CsrMatrix(2, 2, adj.row_offsets[:3], adj.col_indices[:2],
                   np.array([2.0, 2.0]), normalized=True)
+
+
+def test_row_normalize_bits_do_not_depend_on_the_row_blocks():
+    # weighted rows over several runner blocks, one of them empty: each row
+    # sums its entries in entry order (bincount's), at any thread count
+    rng = np.random.default_rng(4)
+    n = 3 * T.ROW_BLOCK + 17
+    pairs = np.unique(np.sort(rng.integers(1, n, (12 * n, 2)), axis=1), axis=0)
+    pattern = CsrMatrix.from_undirected_edges(pairs[pairs[:, 0] != pairs[:, 1]], n)
+    weights = rng.random(pattern.nnz) * 3
+    row_ids = np.repeat(np.arange(n), pattern.degrees)
+    sums = np.bincount(row_ids, weights, minlength=n)
+    expected = weights / np.where(sums == 0.0, 1.0, sums)[row_ids]
+    assert pattern.degrees[0] == 0
+    try:
+        for threads in (1, 2):
+            T._set_threads(threads)
+            adj = CsrMatrix(n, n, pattern.row_offsets, pattern.col_indices, weights)
+            assert adj.row_normalize().values.tobytes() == expected.tobytes()
+    finally:
+        T._set_threads(None)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +310,36 @@ def test_calibration_peak_memory_is_that_of_the_alignment(census_mag):
     assert _peak_bytes(lambda: calibrate(census_mag, "text")) < alignment + one_array / 2
 
 
-def test_calibration_over_several_row_blocks_is_bit_for_bit():
-    # mean degree 2 leaves about 13% of the nodes isolated; the rest span
-    # three blocks of active rows
-    mag = generate(SyntheticSpec(3000, 3, [ModalitySpec("text", 8, 1.0, 0.5)],
+@pytest.fixture(scope="module")
+def blocks_mag():
+    """Mean degree 2 leaves about 15% of the nodes isolated; the rest span
+    three runner blocks of active rows."""
+    mag = generate(SyntheticSpec(7500, 3, [ModalitySpec("text", 8, 1.0, 0.5)],
                                  homophily=0.7, mean_degree=2, seed=21))
     degrees = mag.adjacency.degrees
-    assert (degrees == 0).any() and np.count_nonzero(degrees) > 2 * graph._BLOCK_ROWS
-    assert calibrate(mag, "text") == _reference_calibration(mag, "text")
+    assert (degrees == 0).any() and np.count_nonzero(degrees) > 2 * T.ROW_BLOCK
+    return mag
+
+
+def test_calibration_over_several_row_blocks_is_bit_for_bit(blocks_mag):
+    assert calibrate(blocks_mag, "text") == _reference_calibration(blocks_mag, "text")
+
+
+def test_calibration_does_not_depend_on_the_runner_threads(blocks_mag):
+    results = []
+    try:
+        for threads in (1, 2):
+            T._set_threads(threads)
+            results.append((calibrate(blocks_mag, "text"), intrinsic_noise(blocks_mag, "text")))
+    finally:
+        T._set_threads(None)
+    assert results[0] == results[1]
+    x, sig = blocks_mag.features["text"], blocks_mag.signals["text"][blocks_mag.labels]
+    assert results[0][1] == float(np.mean(np.sum((x - sig) ** 2, axis=1)))
 
 
 def test_row_block_mean_equals_the_unblocked_mean():
-    x = np.random.default_rng(8).standard_normal((2 * graph._BLOCK_ROWS + 77, 5))
+    x = np.random.default_rng(8).standard_normal((2 * T.ROW_BLOCK + 77, 5))
     rows = np.arange(x.shape[0])
     assert graph._row_mean(lambda r: (x[r] ** 2).sum(axis=1), rows) == \
         (x ** 2).sum(axis=1).mean()
@@ -316,13 +355,43 @@ def mag_20k():
                                   seed=3))
 
 
+def _one_thread_peak_bytes(fn):
+    """_peak_bytes with the runner at one thread: no pool threads allocating
+    while traced, so the peak does not depend on the CPU count."""
+    T._set_threads(1)
+    try:
+        return _peak_bytes(fn)
+    finally:
+        T._set_threads(None)
+
+
 def test_dataset_stats_peak_memory_is_under_two_feature_arrays(mag_20k, capsys):
-    # the calibration's neighborhood means are the one N x d temporary; the
-    # residual passes run in row blocks (full-size passes held 4.1 arrays)
+    # no pass holds an N x d temporary: each runner block forms its own
+    # neighborhood means (0.37 arrays; 1.33 when the means were one N x d
+    # array, 4.1 when every pass was full-size)
     mag_20k.adjacency.row_normalize()
     one_array = mag_20k.features["text"].nbytes
-    assert _peak_bytes(lambda: _print_dataset_stats(mag_20k, 0.5)) <= 2 * one_array
+    assert _one_thread_peak_bytes(lambda: _print_dataset_stats(mag_20k, 0.5)) <= 0.5 * one_array
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_row_normalize_holds_no_temporary_of_its_length(mag_20k):
+    # the sums and the division run by row blocks into the result, so the
+    # peak is the result plus the constructor's validation passes; the
+    # whole-matrix version held 2.7 MB more (row ids and divisors, nnz each)
+    adj = CsrMatrix(*mag_20k.adjacency._args())         # same arrays, no caches
+    peak = _one_thread_peak_bytes(adj.row_normalize)
+    norm = adj.row_normalize()
+    validation = _one_thread_peak_bytes(lambda: CsrMatrix(*norm._args()))
+    assert peak <= norm.values.nbytes + validation + norm.values.nbytes / 4
+
+
+def test_edge_draw_peak_memory_is_under_seven_and_a_half_edge_arrays(mag_20k):
+    # the keys are built in place and the draws freed before the dedupe
+    # (4.3 arrays of E int64; 10.0 when they stayed live)
+    edge_array = int(round(20000 * 10.0 / 2)) * 8
+    assert _one_thread_peak_bytes(lambda: graph._draw_edges(
+        np.random.default_rng(0), mag_20k.labels, 4, 20000, 10.0, 0.8)) <= 7.5 * edge_array
 
 
 @pytest.mark.parametrize("homophily,seed,outside", [(1.0, 2, lambda b: b > 1.0),
@@ -619,7 +688,7 @@ def test_edge_round_trip_cases(tmp_path, n, pairs):
 def test_save_writes_edges_in_bounded_chunks(tmp_path):
     # the writer formats one block of rows at a time: three blocks here, with
     # edges across each boundary between blocks
-    n = 2 * graph._BLOCK_ROWS + 5
+    n = 2 * T.ROW_BLOCK + 5
     pairs = {(a, b) for a in range(n) for b in range(a + 1, min(n, a + 40))}
     mag = graph_with_edges(n, pairs)
     _round_trip(mag, str(tmp_path / "ds"))
