@@ -19,8 +19,8 @@ def mean_aggregate(h: T.Tensor, adj: CsrMatrix, alpha: float) -> T.Tensor:
     """alpha * h + (1-alpha) * neighbor mean, alpha in [0,1); differentiable
     in h.  At alpha = 0 it is the plain neighbor mean, a zero row at isolated
     nodes.  ``adj`` is any square adjacency, its row-normalized copy A_hat the
-    mean weights.  One tape node: tensor._spmm mixes alpha * h into the product
-    with the cached A_hat, and the backward mixes g into A_hat^T @ g."""
+    mean weights.  One tape node: the product with the cached A_hat (tensor._spmm)
+    and, backward, with A_hat^T on the same arrays (tensor._spmm_t)."""
     if not isinstance(adj, CsrMatrix):
         raise TypeError("mean_aggregate expects a CsrMatrix adjacency")
     if not adj.num_rows == adj.num_cols == h.rows:
@@ -28,8 +28,8 @@ def mean_aggregate(h: T.Tensor, adj: CsrMatrix, alpha: float) -> T.Tensor:
                          f"vs h {h.data.shape}")
     if not 0.0 <= alpha < 1.0:
         raise ContractError(f"mean_aggregate: alpha must be in [0,1), got {alpha}")
-    a_hat, a_hat_t = adj.mean_operator()
-    return T._op(T._spmm(a_hat, h.data, alpha), (h,), (lambda g: T._spmm(a_hat_t, g, alpha),))
+    a_hat = adj._norm or adj.row_normalize()    # one row_normalize call per adjacency
+    return T._op(T._spmm(a_hat, h.data, alpha), (h,), (lambda g: T._spmm_t(a_hat, g, alpha),))
 
 
 class GnnStack:

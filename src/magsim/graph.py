@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DatasetError, ShapeError, check_number
-from .tensor import ROW_BLOCK, _by_rows, _row_blocks, _sparsetools, _spmm_rows
+from .tensor import ROW_BLOCK, _by_rows, _row_blocks, _spmm_rows
 
 
 def _f32_grid(x: np.ndarray) -> np.ndarray:
@@ -66,7 +66,6 @@ class CsrMatrix:
         self.values = np.asarray(values, dtype=np.float64)
         self.normalized = bool(normalized)
         self._norm = None
-        self._mean = None            # (A_hat, A_hat^T), see mean_operator
         self._validate()
 
     def _validate(self):
@@ -79,16 +78,16 @@ class CsrMatrix:
             raise ShapeError("col_indices and values length mismatch")
         if ci.size and (ci.min() < 0 or ci.max() >= self.num_cols):
             raise ShapeError(f"column index out of range [0,{self.num_cols})")
-        bad = ci[1:] <= ci[:-1]
-        starts = ro[1:-1]
-        bad[starts[(starts > 0) & (starts < ci.size)] - 1] = False   # pairs across rows
+        if self.normalized and ci.size:     # |row sum - 1| in place, before the nnz-long mask
+            sums = np.add.reduceat(self.values, ro[:-1][np.diff(ro) > 0])
+            if np.abs(np.subtract(sums, 1.0, out=sums), out=sums).max() > 1e-12:
+                raise ShapeError("normalized flag set but row sums differ from 1")
+        bad = np.zeros(ci.size + 1, dtype=bool)     # bad[k]: entry k not above entry k - 1
+        np.less_equal(ci[1:], ci[:-1], out=bad[1:-1])
+        bad[ro] = False                             # a row's first entry
         if bad.any():
             r = int(np.searchsorted(ro, np.argmax(bad), side="right")) - 1
             raise ShapeError(f"row {r}: column indices not strictly increasing")
-        if self.normalized:
-            sums = np.add.reduceat(self.values, ro[:-1][np.diff(ro) > 0]) if ci.size else np.array([])
-            if sums.size and np.max(np.abs(sums - 1.0)) > 1e-12:
-                raise ShapeError("normalized flag set but row sums differ from 1")
 
     def _args(self):
         """The constructor arguments: what pickling and equality see, never the caches."""
@@ -139,21 +138,6 @@ class CsrMatrix:
             self._norm = CsrMatrix(self.num_rows, self.num_cols, self.row_offsets,
                                    self.col_indices, values, normalized=True)
         return self._norm
-
-    def mean_operator(self):
-        """Cached (A_hat, A_hat^T), this matrix row-normalized and its transpose
-        (SciPy's csr_tocsc), on which tensor._spmm mixes at any alpha.  A_hat^T
-        shares A_hat's index arrays where the pattern is symmetric."""
-        if self._mean is None:
-            a = self.row_normalize()
-            ro = np.empty(a.num_cols + 1, dtype=np.int64)
-            ci, v = np.empty_like(a.col_indices), np.empty_like(a.values)
-            _sparsetools.csr_tocsc(a.num_rows, a.num_cols, a.row_offsets, a.col_indices, a.values,
-                                   ro, ci, v)
-            if np.array_equal(ro, a.row_offsets) and np.array_equal(ci, a.col_indices):
-                ro, ci = a.row_offsets, a.col_indices
-            self._mean = (a, CsrMatrix(a.num_cols, a.num_rows, ro, ci, v))
-        return self._mean
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.num_rows, self.num_cols))
@@ -251,6 +235,8 @@ class SyntheticSpec:
         if self.num_classes > self.num_nodes:   # every class must get a node
             raise ContractError(f"num_classes {self.num_classes} exceeds num_nodes {self.num_nodes}")
         check_number("mean_degree", self.mean_degree, low=1)
+        if self.mean_degree > self.num_nodes:   # the edge draw holds mean_degree * N / 2 pairs
+            raise ContractError(f"mean_degree {self.mean_degree} exceeds num_nodes {self.num_nodes}")
         for m in self.modalities:
             if not isinstance(m.name, str) or not m.name or "/" in m.name or "\0" in m.name:
                 raise ContractError(f"modality name must be a non-empty string without '/' or "

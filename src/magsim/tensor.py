@@ -24,7 +24,7 @@ from .errors import ShapeError, TapeError
 
 
 def _load_sparsetools():
-    """SciPy's compiled CSR routines from their extension file alone: importing
+    """SciPy's compiled sparse routines from their extension file alone: importing
     the scipy.sparse package would cost 0.15-0.25 s and about 20 MB per process."""
     name = "scipy.sparse._sparsetools"
     if name not in sys.modules:     # registered there, so scipy.sparse reuses this module
@@ -130,19 +130,24 @@ def _elementwise(fn, *arrays, dtype=np.float64) -> np.ndarray:
                     lambda out, lo, hi: fn(*(a[lo:hi] for a in arrays), out=out), dtype)
 
 
-def _spmm_rows(a, x: np.ndarray, out: np.ndarray, lo: int, hi: int, alpha: float = 0.0):
-    """Rows lo:hi of alpha*x + (1-alpha)*(a @ x) into ``out``, for a
-    graph.CsrMatrix a and a C-contiguous float64 x: the block starts at
-    x*alpha/(1-alpha), SciPy's kernel adds a @ x into it and 1-alpha scales
-    it, with no temporary.  At alpha 0 it is SciPy's product."""
+def _mix(x: np.ndarray, out: np.ndarray, alpha: float, kernel, *args) -> np.ndarray:
+    """alpha*x + (1-alpha)*product into ``out``, which starts at x*alpha/(1-alpha):
+    SciPy's kernel(*args, out) adds the product and 1-alpha scales it in place."""
     if alpha:
-        np.multiply(x[lo:hi], alpha / (1.0 - alpha), out=out)
+        np.multiply(x, alpha / (1.0 - alpha), out=out)
     else:
         out.fill(0.0)        # not x * 0: no -0.0 at isolated rows, no NaN from an inf
-    _sparsetools.csr_matvecs(hi - lo, a.num_cols, x.shape[1], a.row_offsets[lo:hi + 1],
-                             a.col_indices, a.values, x.ravel(), out.ravel())
+    kernel(*args, out.ravel())
     if alpha:
         out *= 1.0 - alpha
+    return out
+
+
+def _spmm_rows(a, x: np.ndarray, out: np.ndarray, lo: int, hi: int, alpha: float = 0.0):
+    """Rows lo:hi of alpha*x + (1-alpha)*(a @ x) into ``out``, for a
+    graph.CsrMatrix a and a C-contiguous float64 x: SciPy's CSR product."""
+    _mix(x[lo:hi], out, alpha, _sparsetools.csr_matvecs, hi - lo, a.num_cols, x.shape[1],
+         a.row_offsets[lo:hi + 1], a.col_indices, a.values, x.ravel())
 
 
 def _spmm(a, x: np.ndarray, alpha: float = 0.0) -> np.ndarray:
@@ -150,6 +155,14 @@ def _spmm(a, x: np.ndarray, alpha: float = 0.0) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     return _by_rows((a.num_rows, x.shape[1]),
                     lambda out, lo, hi: _spmm_rows(a, x, out, lo, hi, alpha))
+
+
+def _spmm_t(a, x: np.ndarray, alpha: float = 0.0) -> np.ndarray:
+    """alpha*x + (1-alpha)*(a.T @ x), a square, in one call (it scatters) of SciPy's
+    CSC product on a's arrays, a.T's CSC arrays: the bits of the CSR product on a.T."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return _mix(x, np.empty_like(x), alpha, _sparsetools.csc_matvecs, a.num_cols, a.num_rows,
+                x.shape[1], a.row_offsets, a.col_indices, a.values, x.ravel())
 
 
 class Tape:

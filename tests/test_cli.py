@@ -291,6 +291,16 @@ def test_a_section_that_is_no_object_is_config_error(tmp_path, dataset_dir, caps
     assert f"{section}: must be an object" in capsys.readouterr().err
 
 
+def test_mean_degree_above_num_nodes_exit_2(tmp_path, capsys):
+    # the edge draw would ask for mean_degree * N / 2 edges at once
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["synthetic"]["mean_degree"] = 1e12
+    path = tmp_path / "bad_degree.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gen", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert "mean_degree" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["te/xt", "", "te\0xt"], ids=["slash", "empty", "nul"])
 def test_gen_with_a_name_no_file_can_have_writes_nothing(tmp_path, capsys, name):
     doc = json.loads(json.dumps(TINY_CONFIG))

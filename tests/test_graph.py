@@ -21,7 +21,6 @@ from magsim.errors import ContractError, DatasetError, ShapeError
 from magsim.graph import (CsrMatrix, Mag, ModalitySpec, SyntheticSpec,
                           _sorted_unique, calibrate, corrupt_modality, generate,
                           inject_noise, intrinsic_noise, load, save)
-from magsim.validation import directed_chain
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def _spec(**fields):
     ("split_fracs", (0.6, "0.2", 0.2)), ("split_fracs", (0.6, 0.2)), ("split_fracs", "abc"),
     ("seed", -1), ("seed", "x"), ("seed", 1.5), ("seed", None),
     ("dim", "16"), ("dim", 4.0), ("signal_norm", "x"), ("noise_var", None), ("name", 3),
-    ("name", ""), ("name", "te/xt"), ("name", "te\0xt"),
+    ("name", ""), ("name", "te/xt"), ("name", "te\0xt"), ("mean_degree", 11), ("mean_degree", 1e12),
 ])
 def test_spec_rejects_bad_value(field, value):
     _spec()                                         # the base spec is valid
@@ -994,7 +993,7 @@ def test_caches_stay_out_of_pickles():
     size = len(pickle.dumps(mag))
     norm = mag.adjacency.row_normalize()
     for adj in (mag.adjacency, norm):
-        adj.mean_operator()
+        adj.row_normalize()
     assert len(pickle.dumps(mag)) == size
     assert len(pickle.dumps(norm)) == len(pickle.dumps(CsrMatrix(*norm._args())))
     copy = pickle.loads(pickle.dumps(mag))
@@ -1002,24 +1001,39 @@ def test_caches_stay_out_of_pickles():
     assert copy.adjacency.row_normalize() == norm
 
 
-def test_mean_operator_holds_two_value_arrays_for_every_alpha(mag_20k):
-    # one (A_hat, A_hat^T) pair serves every alpha; on a symmetric pattern
-    # A_hat^T shares A_hat's index arrays, so the caches add A_hat's values
-    # and A_hat^T's and nothing per alpha
+def test_mean_aggregate_holds_one_value_array_for_every_alpha(mag_20k):
+    # A_hat serves every alpha, forward and backward (the backward reads its
+    # arrays as A_hat^T's CSC arrays), and shares the adjacency's index
+    # arrays, so the caches add A_hat's values and nothing per alpha
     adj = CsrMatrix(*mag_20k.adjacency._args())         # same arrays, no caches
-    h = T.Tensor(np.ones((adj.num_rows, 4)))
+    h = np.ones((adj.num_rows, 4))
+
+    def forward_backward(alpha):
+        tape = T.Tape()
+        tape.backward(T.sum_all(mean_aggregate(T.Tensor(h, tape), adj, alpha)))
+
     T._set_threads(1)           # no pool threads allocating while traced
     tracemalloc.start()
     try:
         for alpha in (0.0, 0.25, 0.5):
-            mean_aggregate(h, adj, alpha)
+            forward_backward(alpha)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         T._set_threads(None)
-    assert held <= 2 * adj.nnz * 8 + 16_384
-    a_hat, a_hat_t = adj.mean_operator()
-    assert a_hat_t.col_indices is a_hat.col_indices is adj.col_indices
-    assert a_hat_t.row_offsets is a_hat.row_offsets
-    chain_hat, chain_t = directed_chain(9).mean_operator()
-    assert chain_t.col_indices is not chain_hat.col_indices
+    assert held <= adj.nnz * 8 + 16_384
+    a_hat = adj.row_normalize()
+    assert a_hat.col_indices is adj.col_indices and a_hat.row_offsets is adj.row_offsets
+
+
+def test_first_backward_allocates_no_nnz_long_array(mag_20k):
+    # the backward reads A_hat's own arrays; transposing A_hat would hold
+    # two nnz-long arrays (3.2 MB at this size) besides the op's two N x 4
+    # arrays, the loss gradient and the input gradient
+    adj = CsrMatrix(*mag_20k.adjacency._args())         # same arrays, no caches
+    adj.row_normalize()
+    tape = T.Tape()
+    x = T.Tensor(np.ones((adj.num_rows, 4)), tape)
+    peak = _one_thread_peak_bytes(
+        lambda: tape.backward(T.sum_all(mean_aggregate(x, adj, 0.5))))
+    assert peak < 2 * x.data.nbytes + adj.nnz * 8

@@ -154,17 +154,24 @@ def test_mean_operator_arrays_are_scipys(graph, alpha):
     sums = np.asarray(raw.sum(axis=1)).ravel()
     a_hat = (sp.diags(1.0 / np.where(sums == 0.0, 1.0, sums)) @ raw).tocsr()
     a_hat.sort_indices()
-    for got, want in zip(adj.mean_operator(), (a_hat, a_hat.T.tocsr())):
-        assert_bytes_equal([got.row_offsets, got.col_indices, got.values],
-                           [want.indptr.astype(np.int64), want.indices.astype(np.int64),
-                            want.data])
-    # the mix at alpha on these arrays is SciPy's P @ h, and its backward P^T @ c
+    got = adj.row_normalize()
+    assert_bytes_equal([got.row_offsets, got.col_indices, got.values],
+                       [a_hat.indptr.astype(np.int64), a_hat.indices.astype(np.int64),
+                        a_hat.data])
+    # the backward, SciPy's CSC product on these arrays, has the bits of its
+    # CSR product on the transpose; the mix at alpha is SciPy's P @ h and P^T @ c
     rng = np.random.default_rng(8)
     h, c = rng.standard_normal((adj.num_rows, 5)), rng.standard_normal((adj.num_rows, 5))
     tape = T.Tape()
     x = T.Tensor(h, tape)
     out = mean_aggregate(x, adj, alpha)
     tape.backward(T.sum_all(T.mul(out, T.Tensor(c))))
+    a_hat_t = a_hat.T.tocsr()
+    if alpha == 0.0:        # mix_by_rows would give -0.0 at isolated rows
+        assert_bytes_equal([out.data, x.grad], [a_hat @ h, a_hat_t @ c])
+    else:
+        assert_bytes_equal([out.data, x.grad], [mix_by_rows(a_hat, h, alpha),
+                                                mix_by_rows(a_hat_t, c, alpha)])
     p, p_t = scipy_mix(adj, alpha)
     for got, want in zip([out.data, x.grad], [p @ h, p_t @ c]):
         assert np.max(np.abs(got - want)) <= 1e-12
