@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen, train, sweep-noise, track-grads, corrupt, theory.
-Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numeric failure during
-training, 5 theory property failure.
+Exit codes: 0 ok, 2 config error (an allocation that fails, such as
+numpy's for a size no host can hold, included), 3 I/O error, 4 numeric
+failure during training, 5 theory property failure.
 """
 
 from __future__ import annotations
@@ -267,6 +268,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:      # numpy's message names the size asked for
+        print(f"config error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except (DatasetError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

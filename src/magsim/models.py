@@ -114,8 +114,8 @@ class MlpModel(Model):
 class JointGcn(Model):
     """Joint aggregation: early-fused features projected once, then routed
     through L mean-aggregation layers and a linear head (folded into the
-    last layer's weight; a mean-mix last layer propagates at the class
-    width)."""
+    last layer's weight, so the last layer, mean-mix or ego-concat,
+    propagates at the class width)."""
 
     def __init__(self, rng, mag: Mag, hidden, num_layers, alpha, dropout, smoothing,
                  variant="mean-mix"):

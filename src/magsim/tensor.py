@@ -130,12 +130,13 @@ def _elementwise(fn, *arrays, dtype=np.float64) -> np.ndarray:
                     lambda out, lo, hi: fn(*(a[lo:hi] for a in arrays), out=out), dtype)
 
 
-def _mix(x: np.ndarray, out: np.ndarray, alpha: float, kernel, *args) -> np.ndarray:
+def _mix(x: np.ndarray, out: np.ndarray, alpha: float | None, kernel, *args) -> np.ndarray:
     """alpha*x + (1-alpha)*product into ``out``, which starts at x*alpha/(1-alpha):
-    SciPy's kernel(*args, out) adds the product and 1-alpha scales it in place."""
+    SciPy's kernel(*args, out) adds the product and 1-alpha scales it in place.
+    With alpha None, ``out`` starts at what it holds: out + product."""
     if alpha:
         np.multiply(x, alpha / (1.0 - alpha), out=out)
-    else:
+    elif alpha is not None:
         out.fill(0.0)        # not x * 0: no -0.0 at isolated rows, no NaN from an inf
     kernel(*args, out.ravel())
     if alpha:
@@ -143,9 +144,10 @@ def _mix(x: np.ndarray, out: np.ndarray, alpha: float, kernel, *args) -> np.ndar
     return out
 
 
-def _spmm_rows(a, x: np.ndarray, out: np.ndarray, lo: int, hi: int, alpha: float = 0.0):
-    """Rows lo:hi of alpha*x + (1-alpha)*(a @ x) into ``out``, for a
-    graph.CsrMatrix a and a C-contiguous float64 x: SciPy's CSR product."""
+def _spmm_rows(a, x: np.ndarray, out: np.ndarray, lo: int, hi: int, alpha: float | None = 0.0):
+    """Rows lo:hi of alpha*x + (1-alpha)*(a @ x) into ``out`` (alpha None:
+    out + a @ x), for a graph.CsrMatrix a and a C-contiguous float64 x:
+    SciPy's CSR product."""
     _mix(x[lo:hi], out, alpha, _sparsetools.csr_matvecs, hi - lo, a.num_cols, x.shape[1],
          a.row_offsets[lo:hi + 1], a.col_indices, a.values, x.ravel())
 
@@ -155,6 +157,15 @@ def _spmm(a, x: np.ndarray, alpha: float = 0.0) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     return _by_rows((a.num_rows, x.shape[1]),
                     lambda out, lo, hi: _spmm_rows(a, x, out, lo, hi, alpha))
+
+
+def _spmm_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out + a @ x, added into ``out`` in place by the row blocks of _spmm_rows:
+    no sum temporary.  ``out``, C-contiguous float64, is an array the caller
+    has just made and alone holds."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    _row_blocks(a.num_rows, lambda lo, hi: _spmm_rows(a, x, out[lo:hi], lo, hi, None))
+    return out
 
 
 def _spmm_t(a, x: np.ndarray, alpha: float = 0.0) -> np.ndarray:

@@ -47,7 +47,7 @@ def _case_matmul(rng):
 
 
 def _case_neighbor_mean(rng):
-    # alpha = 0: the plain neighbor mean of an ego-concat layer
+    # alpha = 0 and no self term: the plain neighbor mean
     adj = _random_adj(rng, 6)
     h = rng.standard_normal((6, 3))
     c = rng.standard_normal((6, 3))
@@ -112,14 +112,15 @@ def _case_ego_concat_layer(rng):
     return _layer_case(rng, 0.5, 3, 2, variant="ego-concat")
 
 
-def _case_folded_head(rng):
-    # a 2-layer mean-mix stack with a C=2 head folded into its last layer:
-    # gradients reach both layer weights and the head through W1 @ head
+def _folded_head_case(rng, variant):
+    """A 2-layer stack with a C=2 head folded into its last layer: gradients
+    reach both layer weights and the head through W1 @ head."""
     adj = _random_adj(rng, 6)
-    stack = GnnStack(2, float(rng.uniform(0.1, 0.9)), hidden_dim=4, in_dim=3)
+    stack = GnnStack(2, float(rng.uniform(0.1, 0.9)), hidden_dim=4, in_dim=3, variant=variant)
     x = rng.standard_normal((6, 3))
     c = rng.standard_normal((6, 2))
-    arrays = {"w0": rng.standard_normal((3, 4)), "w1": rng.standard_normal((4, 4)),
+    arrays = {"w0": rng.standard_normal(stack.weight_shapes[0]),
+              "w1": rng.standard_normal(stack.weight_shapes[1]),
               "head": rng.standard_normal((4, 2))}
 
     def run(p, tape):
@@ -128,6 +129,16 @@ def _case_folded_head(rng):
         return T.sum_all(T.mul(out, T.Tensor(c, None)))
 
     return arrays, run
+
+
+def _case_folded_head(rng):
+    return _folded_head_case(rng, "mean-mix")
+
+
+def _case_ego_concat_folded_head(rng):
+    # H W_top + A_hat (H W_bot) in each layer, the self term fused into the
+    # sparse product: gradients reach both row halves of each weight and the head
+    return _folded_head_case(rng, "ego-concat")
 
 
 def _case_relu(rng):
@@ -288,6 +299,7 @@ ALL_CASES = {
     "mean-agg-layer-narrowing": _case_narrowing_layer,
     "ego-concat-layer": _case_ego_concat_layer,
     "folded-head": _case_folded_head,
+    "ego-concat-folded-head": _case_ego_concat_folded_head,
     "relu": _case_relu,
     "add": _case_add,
     "add-bias": _case_add_bias,

@@ -127,23 +127,30 @@ def test_mean_aggregate_records_one_tape_node():
 # the stack and its layers
 # ---------------------------------------------------------------------------
 
-def test_narrowing_layer_transforms_before_propagating(monkeypatch):
+@pytest.mark.parametrize("variant", ["mean-mix", "ego-concat"])
+def test_narrowing_layer_transforms_before_propagating(monkeypatch, variant):
     rng = np.random.default_rng(5)
     adj = fd_checks._random_adj(rng, 9)
     h = rng.standard_normal((9, 6))
-    w = rng.standard_normal((6, 2))
-    widths = []
+    stack = GnnStack(1, 0.3, hidden_dim=2, in_dim=6, variant=variant)
+    w = rng.standard_normal(stack.weight_shapes[0])
+    widths, tape = [], T.Tape()
 
-    def spy(x, a, alpha):
+    def spy(x, a, alpha, **ego):
         widths.append(x.cols)
-        return mean_aggregate(x, a, alpha)
+        return mean_aggregate(x, a, alpha, **ego)
 
     monkeypatch.setattr(aggregation, "mean_aggregate", spy)
-    out = GnnStack(1, 0.3, hidden_dim=2, in_dim=6).forward(T.Tensor(h), adj,
-                                                          {"g.w0": T.Tensor(w)}, "g")
-    assert widths == [2]                             # P(HW), at the output width
-    dense_p = 0.3 * np.eye(9) + 0.7 * adj.to_dense()
-    assert np.max(np.abs(out.data - (dense_p @ h) @ w)) < 1e-12   # == (PH)W
+    before = len(tape)
+    out = stack.forward(T.Tensor(h, tape), adj, {"g.w0": T.Tensor(w, tape)}, "g")
+    assert widths == [2]        # one sparse product, at the output width
+    if variant == "mean-mix":   # P(HW) == (PH)W
+        expected = (0.3 * np.eye(9) + 0.7 * adj.to_dense()) @ h @ w
+        assert len(tape) - before == 2                  # linear, mean_aggregate
+    else:                       # H W_top + A_hat (H W_bot) == [H, A_hat H] W
+        expected = np.hstack([h, adj.to_dense() @ h]) @ w
+        assert len(tape) - before == 5                  # 2 row_select, 2 linear, mean_aggregate
+    assert np.max(np.abs(out.data - expected)) < 1e-12
 
 
 def test_layer_alpha_bounds():

@@ -235,6 +235,24 @@ def test_bad_train_key_rejected(tmp_path, dataset_dir):
     assert main(["train", "--config", str(path), "--data", dataset_dir]) == 2
 
 
+@pytest.mark.parametrize("cmd,edit", [
+    ("gen", lambda d: d["synthetic"].update(num_nodes=10**15)),
+    ("gen", lambda d: d["synthetic"]["modalities"][0].update(dim=10**15)),
+    ("train", lambda d: d["train"].update(hidden=10**15)),
+], ids=["num-nodes", "modality-dim", "hidden"])
+def test_an_allocation_no_host_can_hold_is_config_error(tmp_path, dataset_dir, capsys, cmd, edit):
+    # 10**15 rows or columns of float64 exceed a 2**47-byte address space, so numpy
+    # fails at once under any overcommit policy, before a byte is committed
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    edit(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    where = ["--out", str(tmp_path / "d")] if cmd == "gen" else ["--data", dataset_dir]
+    assert main([cmd, "--config", str(path)] + where) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("cmd,section,key,value", [
     ("gen", "synthetic", "modalities", "text"),
     ("gen", "synthetic", "modalities", ["text"]),

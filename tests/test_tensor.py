@@ -363,7 +363,19 @@ def test_block_linear_forms_no_concat():
     mag, model = _memory_model("sage-concat")
     model.forward(mag)
     units = _peak_units(lambda: model.forward(mag, tape=T.Tape(), rng=np.random.default_rng(2)))
-    assert units <= 6.0, f"sage-concat forward peak {units:.1f} N x hidden arrays"
+    assert units <= 4.0, f"sage-concat forward peak {units:.1f} N x hidden arrays"
+
+
+def test_ego_concat_layers_sum_in_the_self_terms_array():
+    """sage-concat's layers add A_hat (H W_bot) into H W_top's own array, at the
+    output width; aggregating H before the weight peaked at 6.5 (training step)
+    and 4.0 (eval forward) here."""
+    mag, model = _memory_model("sage-concat")
+    _training_step(mag, model, np.random.default_rng(1))
+    units = _peak_units(_training_step, mag, model, np.random.default_rng(2))
+    assert units <= 5.0, f"sage-concat step peak {units:.1f} N x hidden arrays"
+    units = _peak_units(model.forward, mag)
+    assert units <= 3.5, f"sage-concat eval peak {units:.1f} N x hidden arrays"
 
 
 # ---------------------------------------------------------------------------
