@@ -55,7 +55,13 @@ def _same(a, b) -> bool:
 
 
 class CsrMatrix:
-    """Compressed sparse row matrix with an explicit row-normalization flag."""
+    """Compressed sparse row matrix with an explicit row-normalization flag.
+
+    A 0/1 adjacency (``from_undirected_edges``, behind ``generate`` and
+    ``load``) holds no array of ones: its ``values`` is a read-only float64
+    view of one 1.0 with stride 0.  Nothing writes into a matrix's values, and
+    a write into a 0/1 adjacency's would raise.  Its ``row_normalize()`` copy
+    and any weighted matrix own real arrays."""
 
     def __init__(self, num_rows, num_cols, row_offsets, col_indices, values,
                  normalized=False):
@@ -108,7 +114,8 @@ class CsrMatrix:
     @classmethod
     def from_undirected_edges(cls, pairs: np.ndarray, num_nodes: int) -> "CsrMatrix":
         """Build a symmetric 0/1 adjacency from unique undirected pairs: the
-        sorted keys a*N+b and b*N+a, modulo N, are the column indices."""
+        sorted keys a*N+b and b*N+a, modulo N, are the column indices, and
+        the values are one 1.0 broadcast to nnz (8 bytes, not 8 an entry)."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         keys = np.empty((2, len(pairs)), dtype=np.int64)
         np.multiply(pairs.T, num_nodes, out=keys)          # a*N over b*N
@@ -117,7 +124,7 @@ class CsrMatrix:
         keys.sort()
         np.remainder(keys, num_nodes, out=keys)
         offsets = np.concatenate([[0], np.cumsum(np.bincount(pairs.ravel(), minlength=num_nodes))])
-        return cls(num_nodes, num_nodes, offsets, keys, np.ones(keys.shape[0]))
+        return cls(num_nodes, num_nodes, offsets, keys, np.broadcast_to(1.0, keys.shape))
 
     def row_normalize(self) -> "CsrMatrix":
         """Cached copy with each nonempty row divided by its sum (mean
@@ -184,6 +191,8 @@ class Mag:
         for k in ("train", "val", "test"):
             if len(self.splits[k]) == 0:
                 raise ShapeError(f"empty {k} split")
+            if np.any(np.diff(self.splits[k]) <= 0):    # the loss reads its rows in order
+                raise ShapeError(f"{k} split is not strictly increasing")
         if not self.modalities:
             raise ShapeError("a graph needs at least one modality")
         if len(set(self.modality_names())) != len(self.modalities):
@@ -519,14 +528,21 @@ def _read_edges(path: str) -> np.ndarray:
 
 
 def _read_f32(path: str, rows: int, cols: int) -> np.ndarray:
-    """A rows x cols little-endian float32 file as float64."""
+    """A rows x cols little-endian float32 file as float64, read into the
+    result by row blocks: no whole-file float32 copy beside it."""
     try:
-        raw = np.fromfile(path, dtype="<f4")
-    except (OSError, ValueError) as exc:     # missing, or a name no file can have
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != rows * cols * 4:     # before rows x cols sizes the result
+                raise DatasetError(f"{path}: expected {rows * cols} floats ({rows * cols * 4}"
+                                   f" bytes), found {size} bytes")
+            out = np.empty((rows, cols))
+            for i in range(0, rows, ROW_BLOCK):
+                block = out[i:i + ROW_BLOCK]
+                block.ravel()[:] = np.fromfile(fh, dtype="<f4", count=block.size)
+    except (OSError, ValueError) as exc:     # missing, a directory, or a name no file can have
         raise DatasetError(f"cannot read {path!r}: {exc}")
-    if raw.size != rows * cols:
-        raise DatasetError(f"{path}: expected {rows * cols} floats, found {raw.size}")
-    return raw.astype(np.float64).reshape(rows, cols)
+    return out
 
 
 def load(directory: str) -> Mag:

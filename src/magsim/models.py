@@ -62,8 +62,8 @@ class Model:
     def loss(self, outputs, labels, train_idx) -> dict:
         """Smoothed cross-entropy of the logits over the train rows; models
         with auxiliary terms extend ``aux`` and ``total``."""
-        task = T.cross_entropy_smoothed(
-            T.row_select(outputs["logits"], train_idx), labels[train_idx], self.smoothing)
+        task = T.cross_entropy_smoothed(outputs["logits"], labels[train_idx], self.smoothing,
+                                        train_idx)
         return {"total": task, "task": task, "aux": {}}
 
     def branches(self) -> dict:

@@ -64,8 +64,7 @@ class SupraModel(Model):
         losses = super().loss(outputs, labels, train_idx)
         y, lam = labels[train_idx], self.lambda_aux
         for name, _dim in self.modalities:
-            a = T.cross_entropy_smoothed(
-                T.row_select(outputs["aux_logits"][name], train_idx), y, self.smoothing)
+            a = T.cross_entropy_smoothed(outputs["aux_logits"][name], y, self.smoothing, train_idx)
             losses["aux"][name] = a
             if lam > 0:
                 losses["total"] = T.add(losses["total"], T.scale(a, lam))

@@ -395,31 +395,52 @@ def sum_all(x: Tensor) -> Tensor:
     return _op([[x.data.sum()]], (x,), (lambda g: np.full(shape, g[0, 0]),))
 
 
-def cross_entropy_smoothed(logits: Tensor, labels, smoothing: float) -> Tensor:
-    """Mean smoothed negative log-likelihood over rows.
+def cross_entropy_smoothed(logits: Tensor, labels, smoothing: float, rows) -> Tensor:
+    """Mean smoothed negative log-likelihood over ``rows`` of ``logits``, a
+    strictly increasing array of row indices; ``labels`` holds their classes.
 
     The target distribution puts 1-s on the true class and s/(C-1) on each
-    of the others.  Softmax and log are fused with max subtraction.
+    of the others.  Softmax and log are fused with max subtraction.  The
+    backward assigns the rows' gradients into a zero array of the logits'
+    shape, which strictly increasing rows make equal to a scatter-add.
     """
+    rows = np.asarray(rows, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    n, c = logits.data.shape
+    total, c = logits.data.shape
+    if rows.ndim != 1 or (rows.size and (rows[0] < 0 or rows[-1] >= total
+                                         or np.any(rows[1:] <= rows[:-1]))):
+        raise ShapeError(f"loss rows must be strictly increasing indices below {total}")
+    n = rows.size
     if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} vs {n} logit rows")
+        raise ShapeError(f"labels shape {labels.shape} vs {n} loss rows")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ShapeError(f"label out of range [0,{c})")
     if not 0.0 <= smoothing < 1.0:
         raise ShapeError(f"smoothing must be in [0,1), got {smoothing}")
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
+    shifted = logits.data[rows]                 # a copy: shifted, then log_p, in place
+    top = shifted[:, 0].copy()                  # the row max, column by column (exact)
+    for j in range(1, c):
+        np.maximum(top, shifted[:, j], out=top)
+    shifted -= top[:, None]
+    delta = np.exp(shifted)                     # its buffer later holds softmax - target
+    log_z = np.log(delta.sum(axis=1, keepdims=True))
+    log_p = np.subtract(shifted, log_z, out=shifted)
 
     target = np.full((n, c), smoothing / (c - 1) if c > 1 else 0.0)
     target[np.arange(n), labels] = 1.0 - smoothing
 
     loss = -(target * log_p).sum() / n
-    return _op([[loss]], (logits,),
-               (lambda g: g[0, 0] * (np.exp(log_p) - target) / n,))
+    np.exp(log_p, out=delta)                    # all the backward reads
+    delta -= target
+
+    def vjp(g):         # backward calls it once, so it scales delta in place
+        full = np.zeros((total, c))
+        np.multiply(delta, g[0, 0], out=delta)
+        full[rows] = np.divide(delta, n, out=delta)
+        return full
+
+    return _op([[loss]], (logits,), (vjp,))
 
 
 class AdamState:

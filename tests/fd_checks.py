@@ -270,7 +270,7 @@ def _case_cross_entropy(rng):
     s = float(rng.uniform(0, 0.3))
 
     def run(p, tape):
-        return T.cross_entropy_smoothed(p["logits"], labels, s)
+        return T.cross_entropy_smoothed(p["logits"], labels, s, np.arange(5))
 
     return {"logits": logits}, run
 
@@ -286,7 +286,7 @@ def _case_mlp_composite(rng):
     def run(p, tape):
         h = T.relu(T.add(T.linear(T.Tensor(x, None), p["w1"]), p["b1"]))
         logits = T.add(T.linear(h, p["w2"]), p["b2"])
-        return T.cross_entropy_smoothed(logits, labels, 0.1)
+        return T.cross_entropy_smoothed(logits, labels, 0.1, np.arange(6))
 
     return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}, run
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scipy_csr, three_node_mag
-from magsim import graph
+from magsim import graph, validation
 from magsim import tensor as T
 from magsim.aggregation import mean_aggregate
 from magsim.cli import _print_dataset_stats
@@ -222,6 +222,10 @@ def test_mag_validation():
         Mag(3, 2, mag.modalities, mag.features, mag.labels,
             {"train": np.array([0, 1]), "val": np.array([1]),
              "test": np.array([2])}, mag.adjacency)
+    with pytest.raises(ShapeError, match="train split is not strictly increasing"):
+        Mag(4, 2, [("text", 2)], {"text": np.zeros((4, 2))}, np.array([0, 1, 0, 1]),
+            {"train": np.array([2, 0]), "val": np.array([1]), "test": np.array([3])},
+            CsrMatrix.from_undirected_edges(np.array([(0, 1)]), 4))
     with pytest.raises(ShapeError, match="num_classes 4 exceeds num_nodes 3"):
         Mag(3, 4, mag.modalities, mag.features, mag.labels, mag.splits, mag.adjacency)
     with pytest.raises(ContractError, match="num_classes 12 exceeds num_nodes 10"):
@@ -393,6 +397,16 @@ def test_edge_draw_peak_memory_is_under_seven_and_a_half_edge_arrays(mag_20k):
         np.random.default_rng(0), mag_20k.labels, 4, 20000, 10.0, 0.8)) <= 7.5 * edge_array
 
 
+def test_load_peak_memory_holds_no_whole_file_feature_copy(mag_20k, tmp_path):
+    # each feature file is read into its float64 array by row blocks (3.33
+    # feature arrays, the loaded graph being 2.8 of them; 3.67 when the
+    # whole file was read as float32 beside its float64 copy)
+    d = str(tmp_path / "ds")
+    save(mag_20k, d)
+    one_array = mag_20k.features["text"].nbytes
+    assert _one_thread_peak_bytes(lambda: load(d)) <= 3.5 * one_array
+
+
 @pytest.mark.parametrize("homophily,seed,outside", [(1.0, 2, lambda b: b > 1.0),
                                                      (0.02, 4, lambda b: b < 0.0)],
                          ids=["above-one", "below-zero"])
@@ -521,6 +535,19 @@ def test_load_truncated_features_names_file(small_mag, tmp_path):
     with open(path, "r+b") as fh:
         fh.truncate(100)
     with pytest.raises(DatasetError, match="feat_text.f32"):
+        load(d)
+
+
+@pytest.mark.parametrize("inflate", ["file", "dim"])
+def test_feature_file_size_is_checked_before_the_array_is_sized(small_mag, tmp_path, inflate):
+    d = str(tmp_path / "ds")
+    save(small_mag, d)
+    if inflate == "file":               # two bytes more than rows x cols floats
+        with open(os.path.join(d, "feat_text.f32"), "ab") as fh:
+            fh.write(b"xy")
+    else:                               # a result no memory could hold
+        _edit_meta(d, lambda m: m["modalities"][0].update(dim=10 ** 15))
+    with pytest.raises(DatasetError, match=r"feat_text.f32: expected \d+ floats"):
         load(d)
 
 
@@ -970,16 +997,50 @@ def test_sort_only_csr_build_rejects_a_self_loop_or_duplicate(pairs):
         CsrMatrix.from_undirected_edges(np.array(pairs), 3)
 
 
-def test_csr_build_peak_memory_is_under_three_and_a_half_key_arrays(mag_20k):
-    # the 2E keys are sorted in place and become the column indices; the
-    # argsort build held 5.2 arrays of 2E int64 at once
+def test_csr_build_peak_memory_is_under_one_and_a_half_key_arrays(mag_20k):
+    # the 2E keys are sorted in place and become the column indices, and the
+    # values hold no array (1.23 arrays of 2E int64; 2.23 with an array of
+    # ones, 5.2 for the argsort build)
     adj = mag_20k.adjacency
     src = np.repeat(np.arange(adj.num_rows), adj.degrees)
     upper = src < adj.col_indices
     pairs = np.stack([src[upper], adj.col_indices[upper]], axis=1)
     key_array = 2 * pairs.shape[0] * 8
     assert _peak_bytes(lambda: CsrMatrix.from_undirected_edges(pairs, adj.num_rows)) \
-        <= 3.5 * key_array
+        <= 1.5 * key_array
+
+
+@pytest.fixture(scope="module")
+def adjacencies(small_mag, tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("adjacency") / "ds")
+    save(small_mag, d)
+    return {"generated": small_mag.adjacency, "loaded": load(d).adjacency}
+
+
+@pytest.mark.parametrize("source", ["generated", "loaded"])
+def test_a_0_1_adjacency_holds_no_array_of_ones(adjacencies, source):
+    adj = adjacencies[source]
+    values = adj.values
+    assert values.shape == (adj.nnz,) and values.dtype == np.float64
+    assert values.strides == (0,) and not values.flags.writeable and np.all(values == 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 2.0
+    ones = CsrMatrix(adj.num_rows, adj.num_cols, adj.row_offsets, adj.col_indices,
+                     np.ones(adj.nnz))
+    assert adj == ones
+    for got, want in zip(adj.row_normalize()._args(), ones.row_normalize()._args()):
+        assert (got.tobytes() == want.tobytes()) if isinstance(got, np.ndarray) else got == want
+    copy = pickle.loads(pickle.dumps(adj))
+    assert copy == adj and copy.row_normalize() == adj.row_normalize()
+
+
+def test_a_weighted_matrix_owns_its_values():
+    weights = np.array([0.5, 2.0, 3.0])
+    weighted = CsrMatrix(2, 2, [0, 2, 3], [0, 1, 1], weights)
+    assert weighted.values is weights
+    for adj in (weighted, validation.directed_chain(6)):
+        assert adj.values.flags.owndata and adj.values.flags.writeable
+        assert adj.values.strides == (8,)
 
 
 def test_row_normalize_is_cached_once_per_matrix(small_mag):

@@ -91,14 +91,14 @@ def test_row_select_out_of_range():
 def test_cross_entropy_uniform_logits():
     for c in (2, 4, 7):
         logits = T.Tensor(np.zeros((5, c)))
-        loss = T.cross_entropy_smoothed(logits, np.zeros(5, dtype=int), 0.1)
+        loss = T.cross_entropy_smoothed(logits, np.zeros(5, dtype=int), 0.1, np.arange(5))
         assert abs(loss.data[0, 0] - math.log(c)) < 1e-12
 
 
 def test_cross_entropy_confident_limit():
     logits = np.full((3, 4), -50.0)
     logits[np.arange(3), [0, 1, 2]] = 50.0
-    loss = T.cross_entropy_smoothed(T.Tensor(logits), np.array([0, 1, 2]), 0.0)
+    loss = T.cross_entropy_smoothed(T.Tensor(logits), np.array([0, 1, 2]), 0.0, np.arange(3))
     assert loss.data[0, 0] < 1e-10
 
 
@@ -111,13 +111,52 @@ def test_cross_entropy_direct_summation_oracle():
     target = np.full((3, 4), s / 3)
     target[np.arange(3), labels] = 1.0 - s
     expected = -(target * np.log(p)).sum() / 3
-    loss = T.cross_entropy_smoothed(T.Tensor(logits), labels, s)
+    loss = T.cross_entropy_smoothed(T.Tensor(logits), labels, s, np.arange(3))
     assert abs(loss.data[0, 0] - expected) < 1e-10
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ShapeError):
-        T.cross_entropy_smoothed(T.Tensor(np.zeros((2, 3))), np.array([0, 3]), 0.0)
+        T.cross_entropy_smoothed(T.Tensor(np.zeros((2, 3))), np.array([0, 3]), 0.0, np.arange(2))
+
+
+def _loss_and_grad(logits, labels, rows, select):
+    """The loss over ``rows`` of ``logits`` and d loss / d logits, the rows
+    read by the loss itself or picked by a row_select node before it."""
+    tape = T.Tape()
+    x = T.Tensor(logits, tape)
+    if select:
+        loss = T.cross_entropy_smoothed(T.row_select(x, rows), labels, 0.1, np.arange(len(rows)))
+    else:
+        loss = T.cross_entropy_smoothed(x, labels, 0.1, rows)
+    tape.backward(loss)
+    return loss.data, x.grad
+
+
+def test_loss_over_its_rows_is_row_select_then_the_loss_bit_for_bit():
+    rng = np.random.default_rng(11)
+    logits = rng.standard_normal((300, 4)) * 3
+    rows = np.flatnonzero(rng.random(300) < 0.6)
+    labels = rng.integers(0, 4, rows.size)
+    direct, selected = (_loss_and_grad(logits, labels, rows, s) for s in (False, True))
+    for got, want in zip(direct, selected):
+        assert got.tobytes() == want.tobytes()
+    # and the bits of the max(axis=1) formula with a scatter-add backward
+    shifted = logits[rows] - logits[rows].max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    target = np.full((rows.size, 4), 0.1 / 3)
+    target[np.arange(rows.size), labels] = 0.9
+    grad = np.zeros_like(logits)
+    np.add.at(grad, rows, 1.0 * (np.exp(log_p) - target) / rows.size)
+    assert direct[0][0, 0] == -(target * log_p).sum() / rows.size
+    assert direct[1].tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("rows", [[2, 1], [1, 1], [0, 4], [-1, 2], [[0, 1]]],
+                         ids=["unsorted", "repeated", "out-of-range", "negative", "2-d"])
+def test_loss_rejects_rows_that_are_not_strictly_increasing_indices(rows):
+    with pytest.raises(ShapeError, match="strictly increasing"):
+        T.cross_entropy_smoothed(T.Tensor(np.zeros((4, 3))), np.zeros(2, dtype=int), 0.1, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +248,7 @@ def test_gradient_determinism():
         x = T.Tensor(rng.standard_normal((4, 3)), tape)
         w = T.Tensor(rng.standard_normal((3, 2)), tape)
         loss = T.cross_entropy_smoothed(T.linear(T.relu(x), w),
-                                        np.array([0, 1, 0, 1]), 0.1)
+                                        np.array([0, 1, 0, 1]), 0.1, np.arange(4))
         tape.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -289,7 +328,8 @@ def test_backward_gives_grad_to_leaves_only_and_empties_the_tape():
     pre = T.linear(x, w, b)
     h = T.dropout(T.relu(pre), 0.5, rng)
     logits = T.linear(h, w2)
-    loss = T.cross_entropy_smoothed(T.row_select(logits, [0, 2, 5]), np.array([0, 1, 1]), 0.1)
+    loss = T.cross_entropy_smoothed(T.row_select(logits, [0, 2, 5]), np.array([0, 1, 1]), 0.1,
+                                    np.arange(3))
     assert len(tape) == 6
     tape.backward(loss)
     assert len(tape) == 0
