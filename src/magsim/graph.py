@@ -59,9 +59,10 @@ class CsrMatrix:
 
     A 0/1 adjacency (``from_undirected_edges``, behind ``generate`` and
     ``load``) holds no array of ones: its ``values`` is a read-only float64
-    view of one 1.0 with stride 0.  Nothing writes into a matrix's values, and
-    a write into a 0/1 adjacency's would raise.  Its ``row_normalize()`` copy
-    and any weighted matrix own real arrays."""
+    view of one 1.0 with stride 0, and its pickle holds that one value.
+    Nothing writes into a matrix's values, and a write into a 0/1 adjacency's
+    would raise.  Its ``row_normalize()`` copy and any weighted matrix own
+    real arrays."""
 
     def __init__(self, num_rows, num_cols, row_offsets, col_indices, values,
                  normalized=False):
@@ -101,7 +102,10 @@ class CsrMatrix:
                 self.values, self.normalized)
 
     def __reduce__(self):
-        return (CsrMatrix, self._args())
+        args = self._args()
+        if self.nnz and self.values.strides == (0,):     # one value broadcast: pickled once
+            return (_broadcast_csr, (*args[:4], float(self.values[0]), *args[5:]))
+        return (CsrMatrix, args)
 
     @property
     def nnz(self):
@@ -155,6 +159,13 @@ class CsrMatrix:
         if not isinstance(other, CsrMatrix):
             return NotImplemented
         return all(map(_same, self._args(), other._args()))
+
+
+def _broadcast_csr(num_rows, num_cols, row_offsets, col_indices, value, normalized):
+    """Unpickle a CsrMatrix whose values are ``value`` broadcast to nnz, as a
+    read-only stride-0 view again."""
+    return CsrMatrix(num_rows, num_cols, row_offsets, col_indices,
+                     np.broadcast_to(value, np.shape(col_indices)), normalized)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .errors import ShapeError, TapeError
+from .errors import ContractError, ShapeError, TapeError
 
 
 def _load_sparsetools():
@@ -41,11 +41,13 @@ def _load_sparsetools():
 _sparsetools = _load_sparsetools()
 
 # Row-block runner.  The N-row kernels below (dense products, sparse products,
-# ReLU, dropout) and the N-row passes of the data layer (graph.py) cut their
-# work into equal blocks of at least ROW_BLOCK rows and run the blocks on a
-# thread pool; NumPy's products and ufuncs and SciPy's sparse product release
+# ReLU, dropout and its draw, the weight and bias gradients' sums over rows) and
+# the N-row passes of the data layer (graph.py) cut their work into equal
+# blocks of at least ROW_BLOCK rows and run the blocks on a thread pool;
+# NumPy's products, ufuncs and generators and SciPy's sparse product release
 # the GIL.  The blocks depend on the row count alone, never on the thread count
-# or the width, so a result has the same bits at any thread count.  A pool
+# or the width, and a sum over rows adds its blocks' partials in block order,
+# so a result has the same bits at any thread count.  A pool
 # thread runs only closures over NumPy/SciPy calls and private helpers: no
 # public magsim function.  The runner, not BLAS, spreads the work over the
 # cores: from the first kernel on, numpy's OpenBLAS runs at one thread, so two
@@ -117,6 +119,18 @@ def _by_rows(shape, fill, dtype=np.float64) -> np.ndarray:
     out = np.empty(shape, dtype=dtype)
     _row_blocks(shape[0], lambda lo, hi: fill(out[lo:hi], lo, hi))
     return out
+
+
+def _block_sum(n: int, part) -> np.ndarray:
+    """The sum of part(lo, hi), a new array, over _row_blocks' blocks of n rows,
+    added in block order: its bits depend on the blocks alone.  With one block
+    it is part(0, n) itself."""
+    partials = {}
+    _row_blocks(n, lambda lo, hi: partials.__setitem__(lo, part(lo, hi)))
+    first, *rest = (partials[lo] for lo in sorted(partials))
+    for p in rest:
+        first += p
+    return first
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -317,12 +331,15 @@ def linear(x: Tensor | list, w: Tensor, b: Tensor | None = None) -> Tensor:
         if bd is not None:
             o += bd
 
-    out = _by_rows((blocks[0].rows, w.cols), project)
+    n = blocks[0].rows
+    out = _by_rows((n, w.cols), project)
     vjps = [lambda g, wi=wi: _matmul(g, wi.T) for wi in ws]
-    vjps.append(lambda g: np.concatenate([xd.T @ g for xd in xs]))   # the stacked x_i.T @ g
+    vjps.append(lambda g: _block_sum(n, lambda lo, hi: np.concatenate(     # the stacked x_i.T @ g
+        [xd[lo:hi].T @ g[lo:hi] for xd in xs])))
     if b is None:
         return _op(out, [*blocks, w], vjps)
-    return _op(out, [*blocks, w, b], vjps + [lambda g: g.sum(axis=0, keepdims=True)])
+    vjps.append(lambda g: _block_sum(n, lambda lo, hi: g[lo:hi].sum(axis=0, keepdims=True)))
+    return _op(out, [*blocks, w, b], vjps)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -372,21 +389,39 @@ def row_select(x: Tensor, idx) -> Tensor:
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout (kept activations divided by the keep probability);
-    the identity without an ``rng``, as in evaluation, or at rate 0."""
+    the identity without an ``rng``, as in evaluation, or at rate 0.
+
+    The mask is ``rng.random(x.shape) < 1 - rate``, drawn by row blocks, each
+    from a copy of the bit generator advanced to the block's first element.
+    That is exact only where ``advance`` counts 64-bit draws: PCG64
+    (``default_rng``'s) or PCG64DXSM, else ContractError.  The rng ends where
+    the one whole draw leaves it."""
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate must be in [0,1), got {rate}")
     if rng is None or rate == 0.0:
         return x
-    keep = 1.0 - rate
-    kept = rng.random(x.data.shape) < keep   # one draw; backward rebuilds kept / keep
+    bits = rng.bit_generator
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ContractError(f"dropout needs a bit generator whose advance counts 64-bit draws "
+                            f"(PCG64, PCG64DXSM), got {type(bits).__name__}")
+    keep, xd = 1.0 - rate, x.data
+    kept = np.empty(xd.shape, dtype=bool)   # backward rebuilds kept / keep
 
-    def scaled(a):
-        def fill(k, v, out):
-            np.divide(k, keep, out=out)
-            out *= v
-        return _elementwise(fill, kept, a)
+    def rescale(k, v, out):
+        np.divide(k, keep, out=out)
+        out *= v
 
-    return _op(scaled(x.data), (x,), (scaled,))
+    def ahead(draws):   # a copy of bits (jumped by 0 jumps), advanced by ``draws``
+        return bits.jumped(0).advance(draws)
+
+    def fill(out, lo, hi):  # rows lo:hi of the whole draw, drawn into the result's block
+        np.random.Generator(ahead(lo * x.cols)).random(out=out)
+        rescale(np.less(out, keep, out=kept[lo:hi]), xd[lo:hi], out)
+
+    out = _by_rows(xd.shape, fill)
+    # the stream moves on as after the whole draw; a buffered 32-bit half-draw stays
+    bits.state = {**bits.state, "state": ahead(xd.size).state["state"]}
+    return _op(out, (x,), (lambda g: _elementwise(rescale, kept, g),))
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -1,5 +1,6 @@
 """Graph data model, synthetic generator calibration, and disk format."""
 
+import dataclasses
 import json
 import os
 import pickle
@@ -1032,6 +1033,20 @@ def test_a_0_1_adjacency_holds_no_array_of_ones(adjacencies, source):
         assert (got.tobytes() == want.tobytes()) if isinstance(got, np.ndarray) else got == want
     copy = pickle.loads(pickle.dumps(adj))
     assert copy == adj and copy.row_normalize() == adj.row_normalize()
+    assert copy.values.strides == (0,) and not copy.values.flags.writeable
+
+
+def test_a_pickled_graph_carries_one_value_for_its_adjacency():
+    mag = generate(SyntheticSpec(2000, 4, [ModalitySpec("text", 16, 1.0, 0.2),
+                                           ModalitySpec("visual", 16, 1.0, 0.8)], seed=3))
+    adj = mag.adjacency
+    with_ones = dataclasses.replace(mag, adjacency=CsrMatrix(*adj._args()[:4], np.ones(adj.nnz)))
+    assert with_ones == mag
+    saved = len(pickle.dumps(with_ones)) - len(pickle.dumps(mag))
+    assert adj.nnz * 8 <= saved <= adj.nnz * 8 + 64        # the ones, less one float
+    copy = pickle.loads(pickle.dumps(mag))
+    assert copy == mag and copy.adjacency.row_normalize() == adj.row_normalize()
+    assert copy.adjacency.values.strides == (0,) and not copy.adjacency.values.flags.writeable
 
 
 def test_a_weighted_matrix_owns_its_values():

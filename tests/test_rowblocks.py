@@ -14,6 +14,7 @@ import pytest
 from conftest import scipy_csr, scipy_mix
 from magsim import tensor as T
 from magsim.aggregation import mean_aggregate
+from magsim.errors import ContractError
 from magsim.experiments import TrainConfig, train
 from magsim.graph import CsrMatrix, ModalitySpec, SyntheticSpec, generate
 from magsim.validation import directed_chain
@@ -208,6 +209,87 @@ def test_dropout_bits_match_numpy_at_any_thread_count():
     assert_bytes_equal(one, two)
     kept = np.random.default_rng(7).random(x.shape) < 0.7
     assert_bytes_equal(one, [kept / 0.7 * x, kept / 0.7 * c])
+
+
+def _block_bounds(n):
+    k = max(1, n // T.ROW_BLOCK)
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+@pytest.mark.parametrize("n", [N, 2 * T.ROW_BLOCK - 1])
+@pytest.mark.parametrize("widths", [(16,), (5, 8, 12)])
+def test_weight_and_bias_gradients_are_sums_of_their_fixed_blocks(n, widths):
+    """linear's weight and bias gradients add their row blocks' products in
+    block order at one and at two threads; below two blocks that is the whole
+    product and the whole column sum."""
+    rng = np.random.default_rng(9)
+    xs = [rng.standard_normal((n, d)) for d in widths]
+    w, b, g = (rng.standard_normal(shape) for shape in ((sum(widths), 12), (1, 12), (n, 12)))
+
+    def run():
+        tape = T.Tape()
+        wt, bt = T.Tensor(w, tape), T.Tensor(b, tape)
+        out = T.linear([T.Tensor(x, tape) for x in xs], wt, bt)
+        tape.backward(T.sum_all(T.mul(out, T.Tensor(g))))       # linear's output gradient is g
+        return [wt.grad, bt.grad]
+
+    bounds = _block_bounds(n)
+    if len(bounds) > 1:
+        one, two = at_threads(run)
+        assert_bytes_equal(one, two)
+    else:           # one block runs inline, pool or not
+        one = run()
+    w_sum = np.concatenate([x[:bounds[0][1]].T @ g[:bounds[0][1]] for x in xs])
+    b_sum = g[:bounds[0][1]].sum(axis=0, keepdims=True)
+    for lo, hi in bounds[1:]:
+        w_sum = w_sum + np.concatenate([x[lo:hi].T @ g[lo:hi] for x in xs])
+        b_sum = b_sum + g[lo:hi].sum(axis=0, keepdims=True)
+    assert_bytes_equal(one, [w_sum, b_sum])
+    whole = [np.concatenate([x.T @ g for x in xs]), g.sum(axis=0, keepdims=True)]
+    if len(bounds) == 1:
+        assert_bytes_equal(one, whole)
+    for got, want in zip(one, whole):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+@pytest.mark.parametrize("half_draw", [False, True])
+def test_dropout_leaves_the_stream_where_one_whole_draw_does(bit_generator, half_draw):
+    """At one and at two threads the block-drawn mask is the whole draw's, and
+    the generator's next draws are those after one whole random(shape), also
+    when a 32-bit half-draw was buffered before it."""
+    x = T.Tensor(np.random.default_rng(10).standard_normal((N, 20)))
+
+    def fresh():
+        rng = np.random.Generator(bit_generator(11))
+        if half_draw:
+            rng.integers(0, 2 ** 31, dtype=np.int32)      # leaves the other 32 bits buffered
+        return rng
+
+    def run():
+        rng = fresh()
+        out = T.dropout(x, 0.3, rng)
+        return [out.data, rng.random(5), rng.integers(0, 2 ** 31, size=3, dtype=np.int32)]
+
+    one, two = at_threads(run)
+    assert_bytes_equal(one, two)
+    whole = fresh()
+    kept = whole.random(x.data.shape) < 0.7
+    assert_bytes_equal(one, [kept / 0.7 * x.data, whole.random(5),
+                             whole.integers(0, 2 ** 31, size=3, dtype=np.int32)])
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937, np.random.SFC64])
+def test_dropout_refuses_a_bit_generator_whose_advance_is_not_one_draw(bit_generator):
+    """Philox advances by 256-bit blocks, MT19937 and SFC64 cannot advance: a
+    ContractError names the bit generator before anything is drawn."""
+    rng = np.random.Generator(bit_generator(12))
+    before = rng.bit_generator.state
+    with pytest.raises(ContractError, match=bit_generator.__name__):
+        T.dropout(T.Tensor(np.ones((N, 4))), 0.3, rng)
+    assert str(rng.bit_generator.state) == str(before)
+    x = T.Tensor(np.ones((3, 4)))
+    assert T.dropout(x, 0.0, rng) is x          # rate 0 draws nothing, so any generator will do
 
 
 @pytest.mark.parametrize("kind", ["supra", "sage-concat"])
