@@ -62,7 +62,14 @@ class CsrMatrix:
     view of one 1.0 with stride 0, and its pickle holds that one value.
     Nothing writes into a matrix's values, and a write into a 0/1 adjacency's
     would raise.  Its ``row_normalize()`` copy and any weighted matrix own
-    real arrays."""
+    real arrays.
+
+    ``_undirected`` marks a symmetric pattern whose rows each hold one value,
+    so that the transpose has the same pattern and row j's value at (i, j):
+    ``from_undirected_edges`` sets it, which builds the pattern symmetric,
+    ``row_normalize`` passes it on, and pickles keep it.  The backward of
+    mean aggregation (tensor._spmm_t) reads it; the constructor never sets
+    it, since a stride-0 values array alone may lie on a directed pattern."""
 
     def __init__(self, num_rows, num_cols, row_offsets, col_indices, values,
                  normalized=False):
@@ -73,6 +80,7 @@ class CsrMatrix:
         self.values = np.asarray(values, dtype=np.float64)
         self.normalized = bool(normalized)
         self._norm = None
+        self._undirected = False
         self._validate()
 
     def _validate(self):
@@ -102,10 +110,11 @@ class CsrMatrix:
                 self.values, self.normalized)
 
     def __reduce__(self):
-        args = self._args()
-        if self.nnz and self.values.strides == (0,):     # one value broadcast: pickled once
-            return (_broadcast_csr, (*args[:4], float(self.values[0]), *args[5:]))
-        return (CsrMatrix, args)
+        num_rows, num_cols, row_offsets, col_indices, values, normalized = self._args()
+        if self.nnz and values.strides == (0,):     # one value broadcast: pickled once
+            values = float(values[0])
+        return (_unpickle_csr, (num_rows, num_cols, row_offsets, col_indices, values, normalized,
+                                self._undirected))
 
     @property
     def nnz(self):
@@ -128,7 +137,9 @@ class CsrMatrix:
         keys.sort()
         np.remainder(keys, num_nodes, out=keys)
         offsets = np.concatenate([[0], np.cumsum(np.bincount(pairs.ravel(), minlength=num_nodes))])
-        return cls(num_nodes, num_nodes, offsets, keys, np.broadcast_to(1.0, keys.shape))
+        adj = cls(num_nodes, num_nodes, offsets, keys, np.broadcast_to(1.0, keys.shape))
+        adj._undirected = True
+        return adj
 
     def row_normalize(self) -> "CsrMatrix":
         """Cached copy with each nonempty row divided by its sum (mean
@@ -148,6 +159,7 @@ class CsrMatrix:
             _row_blocks(self.num_rows, divide)
             self._norm = CsrMatrix(self.num_rows, self.num_cols, self.row_offsets,
                                    self.col_indices, values, normalized=True)
+            self._norm._undirected = self._undirected      # D^-1 A: each row holds 1/deg
         return self._norm
 
     def to_dense(self) -> np.ndarray:
@@ -161,11 +173,14 @@ class CsrMatrix:
         return all(map(_same, self._args(), other._args()))
 
 
-def _broadcast_csr(num_rows, num_cols, row_offsets, col_indices, value, normalized):
-    """Unpickle a CsrMatrix whose values are ``value`` broadcast to nnz, as a
-    read-only stride-0 view again."""
-    return CsrMatrix(num_rows, num_cols, row_offsets, col_indices,
-                     np.broadcast_to(value, np.shape(col_indices)), normalized)
+def _unpickle_csr(num_rows, num_cols, row_offsets, col_indices, values, normalized, undirected):
+    """Unpickle a CsrMatrix with its undirected mark; a float ``values`` is one
+    value broadcast to nnz, a read-only stride-0 view again."""
+    if np.ndim(values) == 0:
+        values = np.broadcast_to(values, np.shape(col_indices))
+    adj = CsrMatrix(num_rows, num_cols, row_offsets, col_indices, values, normalized)
+    adj._undirected = undirected
+    return adj
 
 
 @dataclass

@@ -38,8 +38,9 @@ class Model:
         return stack
 
     def encode(self, p, prefix, x, rng):
-        """relu of the ``prefix`` linear of x, then dropout (with an rng)."""
-        return T.dropout(T.relu(_linear(p, prefix, x)), self.dropout, rng)
+        """relu of the ``prefix`` linear of x, then dropout (with an rng): one
+        tensor.dense node."""
+        return T.dense(x, p[f"{prefix}.w"], p[f"{prefix}.b"], self.dropout, rng)
 
     def wrap(self, tape):
         """Parameters as tensors on ``tape``; ``grads`` reads the last taped

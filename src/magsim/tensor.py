@@ -40,8 +40,9 @@ def _load_sparsetools():
 
 _sparsetools = _load_sparsetools()
 
-# Row-block runner.  The N-row kernels below (dense products, sparse products,
-# ReLU, dropout and its draw, the weight and bias gradients' sums over rows) and
+# Row-block runner.  The N-row kernels below (dense products, sparse products
+# and the undirected transposed product, ReLU, the encoder block with its
+# dropout draw, the weight and bias gradients' sums over rows) and
 # the N-row passes of the data layer (graph.py) cut their work into equal
 # blocks of at least ROW_BLOCK rows and run the blocks on a thread pool;
 # NumPy's products, ufuncs and generators and SciPy's sparse product release
@@ -183,11 +184,29 @@ def _spmm_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _spmm_t(a, x: np.ndarray, alpha: float = 0.0) -> np.ndarray:
-    """alpha*x + (1-alpha)*(a.T @ x), a square, in one call (it scatters) of SciPy's
-    CSC product on a's arrays, a.T's CSC arrays: the bits of the CSR product on a.T."""
+    """alpha*x + (1-alpha)*(a.T @ x), a square: the bits of SciPy's CSR product on a.T.
+
+    An undirected ``a`` (graph.CsrMatrix's mark: a symmetric pattern whose
+    rows each hold one value) is its own pattern transposed, a.T's value at
+    (i, j) being row j's, so where the product splits (several row blocks and
+    runner threads) it runs as _spmm_rows does, on a's index arrays, each
+    block gathering its values from the rows' values.  Otherwise it is one
+    call (it scatters) of SciPy's CSC product on a's arrays, a.T's CSC arrays.
+    Both add each row's terms in ascending column order."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    return _mix(x, np.empty_like(x), alpha, _sparsetools.csc_matvecs, a.num_cols, a.num_rows,
-                x.shape[1], a.row_offsets, a.col_indices, a.values, x.ravel())
+    if not (a._undirected and a.nnz and min(_row_threads(), a.num_rows // ROW_BLOCK) > 1):
+        return _mix(x, np.empty_like(x), alpha, _sparsetools.csc_matvecs, a.num_cols,
+                    a.num_rows, x.shape[1], a.row_offsets, a.col_indices, a.values, x.ravel())
+    ro, ci = a.row_offsets, a.col_indices
+    row_value = np.take(a.values, ro[:-1], mode="clip")     # an empty row's is never read
+
+    def fill(out, lo, hi):
+        start, stop = ro[lo], ro[hi]
+        cols = ci[start:stop]
+        _mix(x[lo:hi], out, alpha, _sparsetools.csr_matvecs, hi - lo, a.num_cols, x.shape[1],
+             ro[lo:hi + 1] - start, cols, row_value[cols], x.ravel())
+
+    return _by_rows(x.shape, fill)
 
 
 class Tape:
@@ -240,10 +259,12 @@ class Tape:
             if g is None:
                 continue
             for parent, vjp in edges:
-                # the first contribution is stored as is; none is written in
-                # place, since it may share its array with ``g``
-                prev = grads.get(parent)
-                grads[parent] = vjp(g) if prev is None else prev + vjp(g)
+                # a later contribution is added into the vjp's new array (_op's
+                # contract), never into ``g``, which other keys may share
+                c, prev = vjp(g), grads.get(parent)
+                if prev is not None:
+                    c = prev + c if c is g else np.add(c, prev, out=c)
+                grads[parent] = c
         for key, ref in self._leaves.items():
             leaf = ref()
             if leaf is not None and key in grads:
@@ -297,7 +318,9 @@ def _op(data, parents, vjps) -> Tensor:
     ``parents[i]``.  It runs during backward, only for parents on the tape
     and only once the output has received gradient.  A vjp closes over the
     arrays it reads, never over a Tensor, and the vjps of untaped parents
-    are dropped here.
+    are dropped here.  A vjp returns ``g`` itself or a new array (or rows
+    of one) that no other gradient shares: backward adds a parent's later
+    contributions into that array in place.
     """
     tape = _out_tape(*parents)
     out = Tensor(data)
@@ -308,16 +331,15 @@ def _op(data, parents, vjps) -> Tensor:
     return out
 
 
-def linear(x: Tensor | list, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b, a 1 x cols bias row) as one tape node.  ``x`` is one tensor
-    or a list of column blocks standing for their concat: block i meets rows
-    r_i of w, and the products x_i @ w[r_i] and the bias are summed into one
-    output in place, so the concat is never formed."""
+def _affine(name, x, w, b):
+    """The checked operands of x @ w (+ b): ``x``'s tensors, their arrays, the
+    row blocks of w they meet, and project(o, lo, hi), which writes rows
+    lo:hi of the product, the bias added, into o."""
     blocks = [x] if isinstance(x, Tensor) else list(x)
     widths = [t.cols for t in blocks]
     if (not blocks or any(t.rows != blocks[0].rows for t in blocks) or sum(widths) != w.rows
             or (b is not None and b.data.shape != (1, w.cols))):
-        raise ShapeError(f"linear: {[t.data.shape for t in blocks]} x {w.data.shape}"
+        raise ShapeError(f"{name}: {[t.data.shape for t in blocks]} x {w.data.shape}"
                          f" + {None if b is None else b.data.shape}")
     offsets = list(itertools.accumulate(widths, initial=0))
     xs, wd = [t.data for t in blocks], w.data
@@ -331,14 +353,94 @@ def linear(x: Tensor | list, w: Tensor, b: Tensor | None = None) -> Tensor:
         if bd is not None:
             o += bd
 
+    return blocks, xs, ws, project
+
+
+def _weight_part(xs, g, lo, hi):
+    """Rows lo:hi's part of the weight gradient: the stacked x_i.T @ g."""
+    return np.concatenate([xd[lo:hi].T @ g[lo:hi] for xd in xs])
+
+
+def linear(x: Tensor | list, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b, a 1 x cols bias row) as one tape node.  ``x`` is one tensor
+    or a list of column blocks standing for their concat: block i meets rows
+    r_i of w, and the products x_i @ w[r_i] and the bias are summed into one
+    output in place, so the concat is never formed."""
+    blocks, xs, ws, project = _affine("linear", x, w, b)
     n = blocks[0].rows
     out = _by_rows((n, w.cols), project)
     vjps = [lambda g, wi=wi: _matmul(g, wi.T) for wi in ws]
-    vjps.append(lambda g: _block_sum(n, lambda lo, hi: np.concatenate(     # the stacked x_i.T @ g
-        [xd[lo:hi].T @ g[lo:hi] for xd in xs])))
+    vjps.append(lambda g: _block_sum(n, lambda lo, hi: _weight_part(xs, g, lo, hi)))
     if b is None:
         return _op(out, [*blocks, w], vjps)
     vjps.append(lambda g: _block_sum(n, lambda lo, hi: g[lo:hi].sum(axis=0, keepdims=True)))
+    return _op(out, [*blocks, w, b], vjps)
+
+
+def dense(x: Tensor | list, w: Tensor, b: Tensor, rate: float = 0.0,
+          rng: np.random.Generator | None = None) -> Tensor:
+    """An encoder block as one tape node: relu(x @ w + b), ``x`` as in linear,
+    then inverted dropout (kept activations divided by the keep probability)
+    with an ``rng``; without one, as in evaluation, or at rate 0, no dropout.
+
+    Each row block of the result receives its uniforms, compares them into
+    the mask, is overwritten by x @ w + b, and is rectified and multiplied
+    by the mask and then by 1/keep in place: no temporary array.  The one saved
+    array is the bool ``out > 0``, and the backward forms (mask * 1/keep) * g
+    (keep 1 without dropout) and the block's weight and bias partials in one
+    pass.  The bits are those of relu, then dropout, as separate ops.
+
+    The uniforms are ``rng.random(out.shape)``, drawn by row blocks, each
+    from a copy of the bit generator advanced to the block's first element.
+    That is exact only where ``advance`` counts 64-bit draws: PCG64
+    (``default_rng``'s) or PCG64DXSM, else ContractError.  The rng ends where
+    the one whole draw leaves it."""
+    if not 0.0 <= rate < 1.0:
+        raise ShapeError(f"dropout rate must be in [0,1), got {rate}")
+    blocks, xs, ws, project = _affine("dense", x, w, b)
+    n, cols = blocks[0].rows, w.cols
+    drop = rng is not None and rate > 0.0
+    keep = 1.0 - rate if drop else 1.0
+    inv = 1.0 / keep
+    if drop:
+        draw, skip = _uniform_blocks(rng)
+    mask = None             # out > 0, read only by backward; the kept draws before that
+    if drop or _out_tape(*blocks, w, b) is not None:
+        mask = np.empty((n, cols), dtype=bool)
+
+    def fill(o, lo, hi):
+        if drop:
+            draw(o, lo * cols)
+            np.less(o, keep, out=mask[lo:hi])
+        project(o, lo, hi)
+        np.maximum(o, 0.0, out=o)
+        if drop:
+            o *= mask[lo:hi]
+            o *= inv
+        if mask is not None:
+            np.greater(o, 0.0, out=mask[lo:hi])
+
+    out = _by_rows((n, cols), fill)
+    if drop:
+        skip(out.size)
+    d, found = w.rows, {}       # the backward pass, made by whichever vjp runs first
+
+    def backward_pass(g):
+        if not found:
+            gz = np.empty_like(g)           # on the calling thread, as the partials' sum
+
+            def part(lo, hi):
+                gb = np.multiply(mask[lo:hi], inv, out=gz[lo:hi])
+                gb *= g[lo:hi]
+                return np.concatenate([_weight_part(xs, gz, lo, hi),
+                                       gb.sum(axis=0, keepdims=True)])
+
+            found["sums"] = _block_sum(n, part)     # the weight's rows, then the bias row
+            found["gz"] = gz
+        return found
+
+    vjps = [lambda g, wi=wi: _matmul(backward_pass(g)["gz"], wi.T) for wi in ws]
+    vjps += [lambda g: backward_pass(g)["sums"][:d], lambda g: backward_pass(g)["sums"][d:]]
     return _op(out, [*blocks, w, b], vjps)
 
 
@@ -387,41 +489,28 @@ def row_select(x: Tensor, idx) -> Tensor:
     return _op(x.data[idx], (x,), (vjp,))
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout (kept activations divided by the keep probability);
-    the identity without an ``rng``, as in evaluation, or at rate 0.
-
-    The mask is ``rng.random(x.shape) < 1 - rate``, drawn by row blocks, each
-    from a copy of the bit generator advanced to the block's first element.
-    That is exact only where ``advance`` counts 64-bit draws: PCG64
-    (``default_rng``'s) or PCG64DXSM, else ContractError.  The rng ends where
-    the one whole draw leaves it."""
-    if not 0.0 <= rate < 1.0:
-        raise ShapeError(f"dropout rate must be in [0,1), got {rate}")
-    if rng is None or rate == 0.0:
-        return x
+def _uniform_blocks(rng: np.random.Generator):
+    """(draw, skip) for one whole ``rng.random`` draw made by blocks:
+    draw(out, start) fills ``out`` with the draw's elements from ``start`` on,
+    and skip(n) moves the rng on as the whole draw of n elements would."""
     bits = rng.bit_generator
     if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
         raise ContractError(f"dropout needs a bit generator whose advance counts 64-bit draws "
                             f"(PCG64, PCG64DXSM), got {type(bits).__name__}")
-    keep, xd = 1.0 - rate, x.data
-    kept = np.empty(xd.shape, dtype=bool)   # backward rebuilds kept / keep
+    state = bits.state
 
-    def rescale(k, v, out):
-        np.divide(k, keep, out=out)
-        out *= v
+    def ahead(draws):   # a copy of bits, seeded without OS entropy, advanced by ``draws``
+        copy = type(bits)(0)
+        copy.state = state
+        return copy.advance(draws)
 
-    def ahead(draws):   # a copy of bits (jumped by 0 jumps), advanced by ``draws``
-        return bits.jumped(0).advance(draws)
+    def draw(out, start):
+        np.random.Generator(ahead(start)).random(out=out)
 
-    def fill(out, lo, hi):  # rows lo:hi of the whole draw, drawn into the result's block
-        np.random.Generator(ahead(lo * x.cols)).random(out=out)
-        rescale(np.less(out, keep, out=kept[lo:hi]), xd[lo:hi], out)
+    def skip(n):        # a buffered 32-bit half-draw stays
+        bits.state = {**state, "state": ahead(n).state["state"]}
 
-    out = _by_rows(xd.shape, fill)
-    # the stream moves on as after the whole draw; a buffered 32-bit half-draw stays
-    bits.state = {**bits.state, "state": ahead(xd.size).state["state"]}
-    return _op(out, (x,), (lambda g: _elementwise(rescale, kept, g),))
+    return draw, skip
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from magsim import tensor as T
 from magsim.graph import (CsrMatrix, Mag, ModalitySpec, SyntheticSpec,
                           generate)
 
@@ -60,6 +61,12 @@ def scipy_mix(adj, alpha):
     p = (alpha * sp.identity(adj.num_rows, format="csr")
          + (1.0 - alpha) * scipy_csr(adj.row_normalize())).tocsr()
     return p, p.T.tocsr()
+
+
+def dropout(x, rate, rng):
+    """tensor.dense with w = I and b = 0: for x >= 0, relu(x @ I + 0) is x,
+    so this is inverted dropout of x alone, bit for bit."""
+    return T.dense(x, T.Tensor(np.eye(x.cols)), T.Tensor(np.zeros((1, x.cols))), rate, rng)
 
 
 def src_env() -> dict:

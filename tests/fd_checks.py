@@ -243,16 +243,21 @@ def _case_row_select(rng):
 
 
 def _case_dropout(rng):
-    x = rng.standard_normal((5, 4))
+    # the encoder block: dropout(relu(x @ w + b)), every pre-activation away
+    # from the kink, differentiated in x, w and b
+    while True:
+        x, w, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal((1, 4))
+        if np.abs(x @ w + b).min() > 0.05:
+            break
     c = rng.standard_normal((5, 4))
     mask_seed = int(rng.integers(0, 2**31))
 
     def run(p, tape):
         drop_rng = np.random.default_rng(mask_seed)   # same mask every call
-        return T.sum_all(T.mul(T.dropout(p["x"], 0.4, drop_rng),
+        return T.sum_all(T.mul(T.dense(p["x"], p["w"], p["b"], 0.4, drop_rng),
                                T.Tensor(c, None)))
 
-    return {"x": x}, run
+    return {"x": x, "w": w, "b": b}, run
 
 
 def _case_sum_all(rng):

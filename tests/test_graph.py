@@ -1103,13 +1103,35 @@ def test_mean_aggregate_holds_one_value_array_for_every_alpha(mag_20k):
 
 
 def test_first_backward_allocates_no_nnz_long_array(mag_20k):
-    # the backward reads A_hat's own arrays; transposing A_hat would hold
-    # two nnz-long arrays (3.2 MB at this size) besides the op's two N x 4
-    # arrays, the loss gradient and the input gradient
-    adj = CsrMatrix(*mag_20k.adjacency._args())         # same arrays, no caches
-    adj.row_normalize()
-    tape = T.Tape()
-    x = T.Tensor(np.ones((adj.num_rows, 4)), tape)
-    peak = _one_thread_peak_bytes(
-        lambda: tape.backward(T.sum_all(mean_aggregate(x, adj, 0.5))))
-    assert peak < 2 * x.data.nbytes + adj.nnz * 8
+    # the backward reads A_hat's own arrays: at one runner thread in SciPy's
+    # CSC product, at two by row blocks, each gathering its own values.
+    # Transposing A_hat would hold two nnz-long arrays (3.2 MB at this size),
+    # gathering all values at once one, besides the op's two N x 4 arrays,
+    # the loss gradient and the input gradient
+    for threads in (1, 2):
+        adj = pickle.loads(pickle.dumps(mag_20k.adjacency))     # marked undirected, no caches
+        adj.row_normalize()
+        tape = T.Tape()
+        x = T.Tensor(np.ones((adj.num_rows, 4)), tape)
+        T._set_threads(threads)
+        try:
+            peak = _peak_bytes(lambda: tape.backward(T.sum_all(mean_aggregate(x, adj, 0.5))))
+        finally:
+            T._set_threads(None)
+        assert peak < 2 * x.data.nbytes + adj.nnz * 8
+
+
+@pytest.mark.parametrize("source", ["generated", "loaded"])
+def test_the_undirected_mark_is_kept_and_never_guessed(adjacencies, source):
+    # from_undirected_edges marks the pattern it builds symmetric; A_hat and
+    # pickles keep the mark, and the constructor never sets it, not even on
+    # the same arrays: a stride-0 values array may lie on a directed pattern
+    adj = adjacencies[source]
+    copy = pickle.loads(pickle.dumps(adj))
+    for marked in (adj, adj.row_normalize(), copy, copy.row_normalize()):
+        assert marked._undirected
+    assert copy == adj and copy.values.strides == (0,)
+    same = CsrMatrix(*adj._args())
+    assert same == adj and not same._undirected and not same.row_normalize()._undirected
+    assert not pickle.loads(pickle.dumps(same))._undirected
+    assert not validation.directed_chain(6)._undirected

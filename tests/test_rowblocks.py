@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import scipy_csr, scipy_mix
+from conftest import dropout, scipy_csr, scipy_mix
 from magsim import tensor as T
 from magsim.aggregation import mean_aggregate
 from magsim.errors import ContractError
@@ -178,6 +178,119 @@ def test_mean_operator_arrays_are_scipys(graph, alpha):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def readme_20k_adjacency():
+    """The README family's 20k graph (seed 3): nine row blocks."""
+    return generate(SyntheticSpec(20000, 4, [ModalitySpec("text", 16, 1.0, 0.2),
+                                             ModalitySpec("visual", 16, 1.0, 0.8)],
+                                  seed=3)).adjacency
+
+
+def csc_product(a, x, alpha):
+    """alpha*x + (1-alpha)*(a.T @ x) as one call of SciPy's CSC product on a's
+    arrays: the one-core backward, whatever the runner's thread count."""
+    return T._mix(x, np.empty_like(x), alpha, T._sparsetools.csc_matvecs, a.num_cols,
+                  a.num_rows, x.shape[1], a.row_offsets, a.col_indices, a.values, x.ravel())
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The names of the SciPy sparse kernels tensor calls, in call order."""
+    called, real = [], T._sparsetools
+
+    class Spy:
+        def __getattr__(self, name):
+            def spy(*args):
+                called.append(name)
+                return getattr(real, name)(*args)
+            return spy
+
+    monkeypatch.setattr(T, "_sparsetools", Spy())
+    return called
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("width", [1, 4, 64])
+@pytest.mark.parametrize("graph", ["readme-20k", "isolated"])
+def test_undirected_backward_has_the_bytes_of_the_csc_product(
+        graph, width, alpha, threads, kernels, request):
+    # a.T's value at (i, j) is row j's: by row blocks on two threads, the
+    # CSR kernel on a's index arrays adds each row's terms in the CSC
+    # product's order; at one thread the product is the CSC call itself
+    adj = (request.getfixturevalue("readme_20k_adjacency") if graph == "readme-20k"
+           else _isolated_adjacency())
+    a_hat = adj.row_normalize()
+    assert a_hat._undirected
+    g = np.random.default_rng(width).standard_normal((adj.num_rows, width))
+    want = csc_product(a_hat, g, alpha)
+    T._set_threads(threads)
+    kernels.clear()
+    got = T._spmm_t(a_hat, g, alpha)
+    assert set(kernels) == {"csc_matvecs" if threads == 1 else "csr_matvecs"}
+    assert_bytes_equal([got], [want])
+
+
+def _one_value_directed():
+    """A chain i -> i+1 whose values are one 1.0 broadcast: a stride-0 array
+    on a pattern that is not symmetric."""
+    return CsrMatrix(N, N, np.r_[np.arange(N), N - 1], np.arange(1, N),
+                     np.broadcast_to(1.0, (N - 1,)))
+
+
+def _weighted():
+    """The isolated-node graph's symmetric pattern with unequal weights."""
+    adj = _isolated_adjacency()
+    weights = np.random.default_rng(13).uniform(0.5, 2.0, adj.nnz)
+    return CsrMatrix(adj.num_rows, adj.num_cols, adj.row_offsets, adj.col_indices, weights)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("graph", ["directed-chain", "weighted", "one-value-directed"])
+def test_directed_and_weighted_backward_keeps_the_csc_product(graph, alpha, kernels):
+    # without the undirected mark a.T is not a's pattern with row values,
+    # so even on two threads and several blocks the backward is SciPy's CSC call
+    adj = {"directed-chain": lambda: directed_chain(N), "weighted": _weighted,
+           "one-value-directed": _one_value_directed}[graph]()
+    assert not adj._undirected and adj.num_rows // T.ROW_BLOCK > 1
+    rng = np.random.default_rng(14)
+    h, c = rng.standard_normal((N, 8)), rng.standard_normal((N, 8))
+    T._set_threads(2)
+    tape = T.Tape()
+    x = T.Tensor(h, tape)
+    out = mean_aggregate(x, adj, alpha)
+    kernels.clear()
+    tape.backward(T.sum_all(T.mul(out, T.Tensor(c))))
+    assert kernels == ["csc_matvecs"]
+    a_hat_t = scipy_csr(adj.row_normalize()).T.tocsr()
+    if alpha == 0.0:
+        assert_bytes_equal([x.grad], [a_hat_t @ c])
+    else:
+        assert_bytes_equal([x.grad], [mix_by_rows(a_hat_t, c, alpha)])
+        assert np.max(np.abs(x.grad - scipy_mix(adj, alpha)[1] @ c)) <= 1e-12
+
+
+def test_a_training_step_draws_no_os_entropy(monkeypatch):
+    """Each dropout block's generator copy is seeded with a constant and then
+    set to the rng's state: a taped training step on several row blocks
+    seeds no SeedSequence from the OS, which numpy reads through random's
+    SystemRandom."""
+    import random
+
+    def refuse(size):
+        raise AssertionError(f"{size} bytes of OS entropy drawn")
+
+    monkeypatch.setattr(random, "_urandom", refuse)
+    with pytest.raises(AssertionError, match="OS entropy"):
+        np.random.PCG64()           # the probe sees an entropy-seeded generator
+    mag = generate(SyntheticSpec(N, 4, [ModalitySpec("text", 16, 1.0, 0.2),
+                                        ModalitySpec("visual", 16, 1.0, 0.8)], seed=2))
+    T._set_threads(2)
+    report = train(mag, TrainConfig(kind="supra", lambda_aux=0.7, hidden=16, dropout=0.3,
+                                    max_epochs=1, patience=1, seed=1))
+    assert report.to_json(include_timing=False)
+
+
 def test_relu_bits_match_numpy_at_any_thread_count():
     rng = np.random.default_rng(5)
     x, c = rng.standard_normal((N, 20)), rng.standard_normal((N, 20))
@@ -196,19 +309,47 @@ def test_relu_bits_match_numpy_at_any_thread_count():
 
 def test_dropout_bits_match_numpy_at_any_thread_count():
     rng = np.random.default_rng(6)
-    x, c = rng.standard_normal((N, 20)), rng.standard_normal((N, 20))
+    x, c = np.abs(rng.standard_normal((N, 20))), rng.standard_normal((N, 20))
 
     def run():
         tape = T.Tape()
         leaf = T.Tensor(x, tape)
-        out = T.dropout(leaf, 0.3, np.random.default_rng(7))
+        out = dropout(leaf, 0.3, np.random.default_rng(7))
         tape.backward(T.sum_all(T.mul(out, T.Tensor(c))))
         return [out.data, leaf.grad]
 
     one, two = at_threads(run)
     assert_bytes_equal(one, two)
     kept = np.random.default_rng(7).random(x.shape) < 0.7
-    assert_bytes_equal(one, [kept / 0.7 * x, kept / 0.7 * c])
+    # x's gradient is the block's output gradient times I.T, whose +0.0 terms
+    # turn the -0.0 of a dropped entry into +0.0
+    assert_bytes_equal(one, [kept / 0.7 * x, kept / 0.7 * c + 0.0])
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_dense_has_the_bits_of_linear_relu_and_dropout_as_separate_ops(rate):
+    """The encoder block, one node, against linear, relu and a product with
+    the kept / keep mask: the output and every gradient, x as two column
+    blocks, at one and at two threads."""
+    rng = np.random.default_rng(15)
+    xs = [rng.standard_normal((N, d)) for d in (5, 8)]
+    w, b, c = rng.standard_normal((13, 20)), rng.standard_normal((1, 20)), rng.standard_normal((N, 20))
+    c[::7] = -0.0
+    kept = np.random.default_rng(7).random((N, 20)) < 1.0 - rate
+
+    def run(fused):
+        tape = T.Tape()
+        leaves = [T.Tensor(a, tape) for a in (*xs, w, b)]
+        if fused:
+            out = T.dense(leaves[:2], *leaves[2:], rate, np.random.default_rng(7))
+        else:
+            out = T.mul(T.relu(T.linear(leaves[:2], *leaves[2:])), T.Tensor(kept / (1.0 - rate)))
+        tape.backward(T.sum_all(T.mul(out, T.Tensor(c))))
+        return [out.data] + [t.grad for t in leaves]
+
+    one, two = at_threads(run, True)
+    assert_bytes_equal(one, two)
+    assert_bytes_equal(one, run(False))
 
 
 def _block_bounds(n):
@@ -258,7 +399,7 @@ def test_dropout_leaves_the_stream_where_one_whole_draw_does(bit_generator, half
     """At one and at two threads the block-drawn mask is the whole draw's, and
     the generator's next draws are those after one whole random(shape), also
     when a 32-bit half-draw was buffered before it."""
-    x = T.Tensor(np.random.default_rng(10).standard_normal((N, 20)))
+    x = T.Tensor(np.abs(np.random.default_rng(10).standard_normal((N, 20))))
 
     def fresh():
         rng = np.random.Generator(bit_generator(11))
@@ -268,7 +409,7 @@ def test_dropout_leaves_the_stream_where_one_whole_draw_does(bit_generator, half
 
     def run():
         rng = fresh()
-        out = T.dropout(x, 0.3, rng)
+        out = dropout(x, 0.3, rng)
         return [out.data, rng.random(5), rng.integers(0, 2 ** 31, size=3, dtype=np.int32)]
 
     one, two = at_threads(run)
@@ -286,10 +427,11 @@ def test_dropout_refuses_a_bit_generator_whose_advance_is_not_one_draw(bit_gener
     rng = np.random.Generator(bit_generator(12))
     before = rng.bit_generator.state
     with pytest.raises(ContractError, match=bit_generator.__name__):
-        T.dropout(T.Tensor(np.ones((N, 4))), 0.3, rng)
+        dropout(T.Tensor(np.ones((N, 4))), 0.3, rng)
     assert str(rng.bit_generator.state) == str(before)
     x = T.Tensor(np.ones((3, 4)))
-    assert T.dropout(x, 0.0, rng) is x          # rate 0 draws nothing, so any generator will do
+    # rate 0 draws nothing, so any generator will do
+    assert dropout(x, 0.0, rng).data.tobytes() == x.data.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["supra", "sage-concat"])

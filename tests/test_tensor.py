@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fd_checks
+from conftest import dropout
 from magsim import tensor as T
 from magsim.errors import ShapeError, TapeError
 from magsim.experiments import TrainConfig, build_model
@@ -63,21 +64,26 @@ def test_add_shape_error():
 
 
 def test_dropout_rate_zero_identity():
-    x = T.Tensor([[1.0, -2.0]])
+    # at rate 0 or without an rng the encoder block is relu(x @ w + b) and
+    # draws nothing: with w = I and b = 0 it returns x >= 0 unchanged
+    x = T.Tensor([[1.0, 0.0, 2.5]])
     rng = np.random.default_rng(0)
-    assert T.dropout(x, 0.0, rng) is x
-    assert T.dropout(x, 0.5, None) is x
+    before = str(rng.bit_generator.state)
+    for out in (dropout(x, 0.0, rng), dropout(x, 0.5, None)):
+        assert out.data.tobytes() == x.data.tobytes()
+    assert str(rng.bit_generator.state) == before
+    assert np.array_equal(dropout(T.Tensor([[1.0, -2.0]]), 0.0, rng).data, [[1.0, 0.0]])
 
 
 def test_dropout_rate_bounds():
     with pytest.raises(ShapeError):
-        T.dropout(T.Tensor([[1.0]]), 1.0, np.random.default_rng(0))
+        dropout(T.Tensor([[1.0]]), 1.0, np.random.default_rng(0))
 
 
 def test_dropout_inverted_scaling():
     rng = np.random.default_rng(1)
     x = T.Tensor(np.ones((2000, 1)))
-    out = T.dropout(x, 0.3, rng)
+    out = dropout(x, 0.3, rng)
     kept = out.data[out.data != 0]
     assert np.allclose(kept, 1.0 / 0.7)
     assert abs(out.data.mean() - 1.0) < 0.05
@@ -325,16 +331,35 @@ def test_backward_gives_grad_to_leaves_only_and_empties_the_tape():
     x = T.Tensor(rng.standard_normal((6, 3)))
     w, b = T.Tensor(rng.standard_normal((3, 4)), tape), T.Tensor(np.zeros((1, 4)), tape)
     w2 = T.Tensor(rng.standard_normal((4, 2)), tape)
-    pre = T.linear(x, w, b)
-    h = T.dropout(T.relu(pre), 0.5, rng)
+    h = T.dense(x, w, b, 0.5, rng)          # linear, relu and dropout: one node
     logits = T.linear(h, w2)
     loss = T.cross_entropy_smoothed(T.row_select(logits, [0, 2, 5]), np.array([0, 1, 1]), 0.1,
                                     np.arange(3))
-    assert len(tape) == 6
+    assert len(tape) == 4
     tape.backward(loss)
     assert len(tape) == 0
-    assert all(t.grad is None for t in (pre, h, logits, loss, x))
+    assert all(t.grad is None for t in (h, logits, loss, x))
     assert all(t.grad is not None and t.grad.shape == t.data.shape for t in (w, b, w2))
+
+
+def test_a_gradient_reached_three_ways_has_the_out_of_place_sums_bits():
+    # x reaches the loss through linear and twice through add.  Replayed in
+    # reverse, the adds hand x the output gradient itself, an array other
+    # keys hold, so those are summed out of place; linear's is a new array,
+    # into which the earlier sum is added in place.  With one add, x's first
+    # contribution is linear's own output gradient, and w's gradient, read
+    # after x's, shows that array was left alone
+    rng = np.random.default_rng(3)
+    xv, wv, c = rng.standard_normal((7, 3)), rng.standard_normal((3, 3)), rng.standard_normal((7, 3))
+    for adds, first in ((2, c + c), (1, c)):
+        tape = T.Tape()
+        x, w = T.Tensor(xv, tape), T.Tensor(wv, tape)
+        s = T.linear(x, w)
+        for _ in range(adds):
+            s = T.add(s, x)
+        tape.backward(T.sum_all(T.mul(s, T.Tensor(c))))
+        assert x.grad.tobytes() == (first + c @ wv.T).tobytes()
+        assert w.grad.tobytes() == (xv.T @ c).tobytes()
 
 
 def test_forward_drops_the_pre_activation_while_the_tape_lives():
