@@ -555,7 +555,8 @@ def _read_edges(path: str) -> np.ndarray:
 
 def _read_f32(path: str, rows: int, cols: int) -> np.ndarray:
     """A rows x cols little-endian float32 file as float64, read into the
-    result by row blocks: no whole-file float32 copy beside it."""
+    result by row blocks: no whole-file float32 copy beside it.  A NaN or an
+    inf is a DatasetError naming its row."""
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -566,6 +567,9 @@ def _read_f32(path: str, rows: int, cols: int) -> np.ndarray:
             for i in range(0, rows, ROW_BLOCK):
                 block = out[i:i + ROW_BLOCK]
                 block.ravel()[:] = np.fromfile(fh, dtype="<f4", count=block.size)
+                if not np.isfinite(block).all():
+                    row = i + int(np.isfinite(block).all(axis=1).argmin())
+                    raise DatasetError(f"{path}: row {row} holds a NaN or an inf")
     except (OSError, ValueError) as exc:     # missing, a directory, or a name no file can have
         raise DatasetError(f"cannot read {path!r}: {exc}")
     return out

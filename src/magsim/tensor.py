@@ -139,12 +139,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     lambda out, lo, hi: np.matmul(a[lo:hi], b, out=out))
 
 
-def _elementwise(fn, *arrays, dtype=np.float64) -> np.ndarray:
-    """fn(*row blocks of arrays, out=row block of the result), by row blocks."""
-    return _by_rows(arrays[0].shape,
-                    lambda out, lo, hi: fn(*(a[lo:hi] for a in arrays), out=out), dtype)
-
-
 def _mix(x: np.ndarray, out: np.ndarray, alpha: float | None, kernel, *args) -> np.ndarray:
     """alpha*x + (1-alpha)*product into ``out``, which starts at x*alpha/(1-alpha):
     SciPy's kernel(*args, out) adds the product and 1-alpha scales it in place.
@@ -331,10 +325,14 @@ def _op(data, parents, vjps) -> Tensor:
     return out
 
 
-def _affine(name, x, w, b):
-    """The checked operands of x @ w (+ b): ``x``'s tensors, their arrays, the
-    row blocks of w they meet, and project(o, lo, hi), which writes rows
-    lo:hi of the product, the bias added, into o."""
+def _affine(name, x, w, b, rectify=False, rate=0.0, rng=None) -> Tensor:
+    """x @ w (+ b, a 1 x cols bias row) as one tape node; with ``rectify``, dense's
+    relu and dropout.  ``x`` is one tensor or a list of column blocks standing
+    for their concat: block i meets rows r_i of w, and the products x_i @ w[r_i]
+    and the bias are summed into each row block of the result, so the concat is
+    never formed.  One backward pass, made by whichever vjp runs first, forms
+    gz, the gradient at x @ w + b (g itself, or (mask * 1/keep) * g with the
+    one saved array, the bool out > 0), and the blocks' weight and bias partials."""
     blocks = [x] if isinstance(x, Tensor) else list(x)
     widths = [t.cols for t in blocks]
     if (not blocks or any(t.rows != blocks[0].rows for t in blocks) or sum(widths) != w.rows
@@ -345,36 +343,66 @@ def _affine(name, x, w, b):
     xs, wd = [t.data for t in blocks], w.data
     ws = [wd[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
     bd = None if b is None else b.data
+    parents = [*blocks, w] if b is None else [*blocks, w, b]
+    n, cols = blocks[0].rows, w.cols
+    drop = rng is not None and rate > 0.0        # linear's rate is 0
+    keep = 1.0 - rate if drop else 1.0
+    inv = 1.0 / keep
+    if drop:
+        draw, skip = _uniform_blocks(rng)
+    mask = None             # out > 0, read only by backward; the kept draws before that
+    if rectify and (drop or _out_tape(*parents) is not None):
+        mask = np.empty((n, cols), dtype=bool)
 
-    def project(o, lo, hi):
+    def fill(o, lo, hi):
+        if drop:
+            draw(o, lo * cols)
+            np.less(o, keep, out=mask[lo:hi])
         np.matmul(xs[0][lo:hi], ws[0], out=o)
         for xd, wi in zip(xs[1:], ws[1:]):
             o += xd[lo:hi] @ wi
         if bd is not None:
             o += bd
+        if rectify:
+            np.maximum(o, 0.0, out=o)
+        if drop:
+            o *= mask[lo:hi]
+            o *= inv
+        if mask is not None:
+            np.greater(o, 0.0, out=mask[lo:hi])
 
-    return blocks, xs, ws, project
+    out = _by_rows((n, cols), fill)
+    if drop:
+        skip(out.size)
+    d, found = w.rows, {}
 
+    def backward_pass(g):
+        if not found:
+            gz = g if mask is None else np.empty_like(g)    # allocated by the calling thread
 
-def _weight_part(xs, g, lo, hi):
-    """Rows lo:hi's part of the weight gradient: the stacked x_i.T @ g."""
-    return np.concatenate([xd[lo:hi].T @ g[lo:hi] for xd in xs])
+            def part(lo, hi):
+                gb = gz[lo:hi]
+                if mask is not None:
+                    np.multiply(mask[lo:hi], inv, out=gb)
+                    gb *= g[lo:hi]
+                parts = [xd[lo:hi].T @ gb for xd in xs]
+                if bd is not None:
+                    parts.append(gb.sum(axis=0, keepdims=True))
+                return np.concatenate(parts)
+
+            found["sums"] = _block_sum(n, part)     # the weight's rows, then the bias row
+            found["gz"] = gz
+        return found
+
+    vjps = [lambda g, wi=wi: _matmul(backward_pass(g)["gz"], wi.T) for wi in ws]
+    vjps += [lambda g: backward_pass(g)["sums"][:d], lambda g: backward_pass(g)["sums"][d:]]
+    return _op(out, parents, vjps)      # without a bias, zip drops the last vjp
 
 
 def linear(x: Tensor | list, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w (+ b, a 1 x cols bias row) as one tape node.  ``x`` is one tensor
-    or a list of column blocks standing for their concat: block i meets rows
-    r_i of w, and the products x_i @ w[r_i] and the bias are summed into one
-    output in place, so the concat is never formed."""
-    blocks, xs, ws, project = _affine("linear", x, w, b)
-    n = blocks[0].rows
-    out = _by_rows((n, w.cols), project)
-    vjps = [lambda g, wi=wi: _matmul(g, wi.T) for wi in ws]
-    vjps.append(lambda g: _block_sum(n, lambda lo, hi: _weight_part(xs, g, lo, hi)))
-    if b is None:
-        return _op(out, [*blocks, w], vjps)
-    vjps.append(lambda g: _block_sum(n, lambda lo, hi: g[lo:hi].sum(axis=0, keepdims=True)))
-    return _op(out, [*blocks, w, b], vjps)
+    or a list of column blocks standing for their concat, which is never formed."""
+    return _affine("linear", x, w, b)
 
 
 def dense(x: Tensor | list, w: Tensor, b: Tensor, rate: float = 0.0,
@@ -385,10 +413,8 @@ def dense(x: Tensor | list, w: Tensor, b: Tensor, rate: float = 0.0,
 
     Each row block of the result receives its uniforms, compares them into
     the mask, is overwritten by x @ w + b, and is rectified and multiplied
-    by the mask and then by 1/keep in place: no temporary array.  The one saved
-    array is the bool ``out > 0``, and the backward forms (mask * 1/keep) * g
-    (keep 1 without dropout) and the block's weight and bias partials in one
-    pass.  The bits are those of relu, then dropout, as separate ops.
+    by the mask and then by 1/keep in place: no temporary array.  The bits
+    are those of relu, then dropout, as separate ops.
 
     The uniforms are ``rng.random(out.shape)``, drawn by row blocks, each
     from a copy of the bit generator advanced to the block's first element.
@@ -397,60 +423,23 @@ def dense(x: Tensor | list, w: Tensor, b: Tensor, rate: float = 0.0,
     the one whole draw leaves it."""
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate must be in [0,1), got {rate}")
-    blocks, xs, ws, project = _affine("dense", x, w, b)
-    n, cols = blocks[0].rows, w.cols
-    drop = rng is not None and rate > 0.0
-    keep = 1.0 - rate if drop else 1.0
-    inv = 1.0 / keep
-    if drop:
-        draw, skip = _uniform_blocks(rng)
-    mask = None             # out > 0, read only by backward; the kept draws before that
-    if drop or _out_tape(*blocks, w, b) is not None:
-        mask = np.empty((n, cols), dtype=bool)
-
-    def fill(o, lo, hi):
-        if drop:
-            draw(o, lo * cols)
-            np.less(o, keep, out=mask[lo:hi])
-        project(o, lo, hi)
-        np.maximum(o, 0.0, out=o)
-        if drop:
-            o *= mask[lo:hi]
-            o *= inv
-        if mask is not None:
-            np.greater(o, 0.0, out=mask[lo:hi])
-
-    out = _by_rows((n, cols), fill)
-    if drop:
-        skip(out.size)
-    d, found = w.rows, {}       # the backward pass, made by whichever vjp runs first
-
-    def backward_pass(g):
-        if not found:
-            gz = np.empty_like(g)           # on the calling thread, as the partials' sum
-
-            def part(lo, hi):
-                gb = np.multiply(mask[lo:hi], inv, out=gz[lo:hi])
-                gb *= g[lo:hi]
-                return np.concatenate([_weight_part(xs, gz, lo, hi),
-                                       gb.sum(axis=0, keepdims=True)])
-
-            found["sums"] = _block_sum(n, part)     # the weight's rows, then the bias row
-            found["gz"] = gz
-        return found
-
-    vjps = [lambda g, wi=wi: _matmul(backward_pass(g)["gz"], wi.T) for wi in ws]
-    vjps += [lambda g: backward_pass(g)["sums"][:d], lambda g: backward_pass(g)["sums"][d:]]
-    return _op(out, [*blocks, w, b], vjps)
+    return _affine("dense", x, w, b, True, rate, rng)
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0), and on a tape the mask x > 0 for backward, in one row-block pass."""
     xd = x.data
-    mask = None         # read only by backward
-    if x.tape is not None:
-        mask = _elementwise(lambda a, out: np.greater(a, 0.0, out=out), xd, dtype=bool)
-    return _op(_elementwise(lambda a, out: np.maximum(a, 0.0, out=out), xd), (x,),
-               (lambda g: _elementwise(np.multiply, g, mask),))
+    mask = None if x.tape is None else np.empty(xd.shape, dtype=bool)
+
+    def fill(o, lo, hi):
+        np.maximum(xd[lo:hi], 0.0, out=o)
+        if mask is not None:
+            np.greater(xd[lo:hi], 0.0, out=mask[lo:hi])
+
+    def vjp(g):
+        return _by_rows(g.shape, lambda o, lo, hi: np.multiply(g[lo:hi], mask[lo:hi], out=o))
+
+    return _op(_by_rows(xd.shape, fill), (x,), (vjp,))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -209,6 +209,17 @@ def test_non_utf8_edges_exit_3(config_path, dataset_dir, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_feature_exit_3(config_path, dataset_dir, capsys, value):
+    path = os.path.join(dataset_dir, "feat_visual.f32")
+    with open(path, "r+b") as fh:
+        fh.seek((7 * 6 + 1) * 4)        # row 7 of the 6-wide visual features
+        fh.write(np.array([value], dtype="<f4").tobytes())
+    assert main(["train", "--config", config_path, "--data", dataset_dir]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"I/O error: {path}: row 7 holds a NaN or an inf"]
+
+
 def test_negative_noise_var_exit_2(tmp_path, capsys):
     doc = json.loads(json.dumps(TINY_CONFIG))
     doc["synthetic"]["modalities"][0]["noise_var"] = -0.2

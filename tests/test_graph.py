@@ -552,6 +552,29 @@ def test_feature_file_size_is_checked_before_the_array_is_sized(small_mag, tmp_p
         load(d)
 
 
+@pytest.fixture(scope="module")
+def two_block_dir(tmp_path_factory):
+    """A saved dataset whose feature files span two of the reader's row blocks."""
+    d = str(tmp_path_factory.mktemp("two_block") / "ds")
+    save(generate(SyntheticSpec(T.ROW_BLOCK + 10, 3, [ModalitySpec("text", 4, 1.0, 0.2)],
+                                mean_degree=4, seed=5)), d)
+    return d
+
+
+@pytest.mark.parametrize("row", [0, T.ROW_BLOCK + 5])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_a_non_finite_feature_naming_its_row(two_block_dir, tmp_path, value, row):
+    """A NaN or inf feature would reach training and end it with a numeric
+    error an epoch or two in; load names the file and the first bad row."""
+    d = str(tmp_path / "ds")
+    shutil.copytree(two_block_dir, d)
+    with open(os.path.join(d, "feat_text.f32"), "r+b") as fh:
+        fh.seek((row * 4 + 2) * 4)
+        fh.write(np.array([value], dtype="<f4").tobytes())
+    with pytest.raises(DatasetError, match=rf"feat_text\.f32: row {row} holds a NaN or an inf"):
+        load(d)
+
+
 def test_load_missing_meta(tmp_path):
     with pytest.raises(DatasetError, match="meta.json"):
         load(str(tmp_path))

@@ -67,12 +67,17 @@ def test_traced_training_names_its_forward_spans(monkeypatch):
     keyword.  In ``forward(mag, tape=None, rng=None)`` ``args[3]`` is the
     rng, so ``train`` passes the tape by keyword; a span named wrongly
     would silently zero ``models.forward_train_ms``.  The adjacency is
-    normalized once, by the first mean-aggregation operator it builds."""
+    normalized once, by the first mean-aggregation operator it builds.  Each
+    encoder block is one ``tensor.dense`` span with no ``tensor.linear``
+    inside: the two share a private node, never a public name the tracer
+    rebinds."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     names = _traced_supra_span_names(importlib.import_module("tracer"), 200)
     assert names.count("models.forward_train") == 2
     assert names.count("models.forward_eval") == 3      # two validations and the test
     assert names.count("graph.row_normalize") == 1
+    assert names.count("tensor.dense") == 10            # 2 modalities x 5 forwards
+    assert names.count("tensor.linear") == 25
 
 
 def test_traced_training_over_row_blocks_records_the_same_spans(monkeypatch):
