@@ -489,23 +489,93 @@ def save(mag: Mag, directory: str):
         shutil.rmtree(staging, ignore_errors=True)
 
 
+def _decimal(block: np.ndarray, seps: tuple) -> bytes:
+    """The ASCII decimal text of ``block``, a rows x len(seps) array of
+    non-negative integers, row by row, each value followed by its column's
+    separator (byte strings of one length).  The digits are filled by
+    repeated division by 10 into a uint8 matrix, the separators beside them,
+    and one boolean mask drops the leading zeros.  Each step runs on one
+    strided column of the matrix: numpy is slow on short inner loops."""
+    if block.size and block.min() < 0:
+        raise ContractError("cannot write a negative integer as decimal text")
+    width = len(str(int(block.max()))) if block.size else 1
+    rows, cols = block.shape
+    text = np.empty((rows, cols, width + len(seps[0])), dtype=np.uint8)
+    for j, sep in enumerate(seps):
+        for i, byte in enumerate(sep):
+            text[:, j, width + i] = byte
+    keep = np.ones(text.shape, dtype=bool)
+    rest = block.astype(np.uint64)
+    quot, digit = np.empty_like(rest), np.empty_like(rest)
+    for k in range(width - 1, -1, -1):      # digit k, from the last
+        np.floor_divide(rest, 10, out=quot)
+        np.multiply(quot, 10, out=digit)
+        np.subtract(rest, digit, out=digit)
+        np.add(digit, ord("0"), out=text[:, :, k], casting="unsafe")
+        if k:       # digit k - 1 is a leading zero where nothing is left
+            np.greater(quot, 0, out=keep[:, :, k - 1])
+        rest, quot = quot, rest
+    return text[keep].tobytes()
+
+
+_WRITE_GROUP = 8        # row blocks formatted on the runner before the calling thread writes them
+_LIST_ROW = 16          # list values per row of _write_list's blocks
+
+
+def _write_decimal(fh, n: int, block, seps: tuple):
+    """Write to ``fh`` the _decimal text of block(lo, hi) for the rows lo:hi
+    of range(n), in row order.  The runner's threads format the row blocks
+    of _WRITE_GROUP * ROW_BLOCK rows at a time and the calling thread then
+    writes them: at most one group's text is held, and the bytes are those
+    of one block of all n rows at any thread count."""
+    step = _WRITE_GROUP * ROW_BLOCK
+    for start in range(0, n, step):
+        texts = {}
+
+        def fmt(lo, hi, start=start):
+            texts[lo] = _decimal(block(start + lo, start + hi), seps)
+
+        _row_blocks(min(step, n - start), fmt)
+        for lo in sorted(texts):
+            fh.write(texts[lo])
+
+
+def _write_list(fh, values: np.ndarray):
+    """json.dumps' text of values.tolist(), a list of non-negative integers.
+    A row of the blocks is _LIST_ROW values: a block of single values would
+    be too small to pay for a thread."""
+    last = values.size - 1
+
+    def rows(lo, hi):       # the values but the last, _LIST_ROW to a row
+        return values[lo * _LIST_ROW:min(hi * _LIST_ROW, last), None]
+
+    fh.write(b"[")
+    _write_decimal(fh, -(-last // _LIST_ROW), rows, (b", ",))
+    fh.write(_decimal(values[last:, None], (b"]",)) if values.size else b"]")
+
+
 def _write_files(mag: Mag, directory: str):
-    meta = {"num_nodes": mag.num_nodes, "num_classes": mag.num_classes,
-            "modalities": [{"name": name, "dim": dim} for name, dim in mag.modalities],
-            "splits": {k: mag.splits[k].tolist() for k in ("train", "val", "test")},
-            "labels": mag.labels.tolist()}
-    with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta))
+    head = {"num_nodes": mag.num_nodes, "num_classes": mag.num_classes,
+            "modalities": [{"name": name, "dim": dim} for name, dim in mag.modalities]}
+    with open(os.path.join(directory, "meta.json"), "wb") as fh:    # the bytes of json.dumps
+        fh.write(json.dumps(head)[:-1].encode())
+        for key, values in ((', "splits": {"train": ', mag.splits["train"]),
+                            (', "val": ', mag.splits["val"]), (', "test": ', mag.splits["test"]),
+                            ('}, "labels": ', mag.labels)):
+            fh.write(key.encode())
+            _write_list(fh, values)
+        fh.write(b"}")
 
     ro, ci = mag.adjacency.row_offsets, mag.adjacency.col_indices
-    with open(os.path.join(directory, "edges.csv"), "w", encoding="utf-8") as fh:
-        for i in range(0, mag.num_nodes, ROW_BLOCK):     # each undirected edge once
-            j = min(i + ROW_BLOCK, mag.num_nodes)
-            src = np.repeat(np.arange(i, j), np.diff(ro[i:j + 1]))
-            dst = ci[ro[i]:ro[j]]
-            upper = src < dst
-            flat = np.stack([src[upper], dst[upper]], axis=1).ravel().tolist()
-            fh.write("%d,%d\n" * (len(flat) // 2) % tuple(flat))
+
+    def edges(lo, hi):      # each undirected edge once, as its upper-triangle entry
+        src = np.repeat(np.arange(lo, hi), np.diff(ro[lo:hi + 1]))
+        dst = ci[ro[lo]:ro[hi]]
+        upper = src < dst
+        return np.stack([src[upper], dst[upper]], axis=1)
+
+    with open(os.path.join(directory, "edges.csv"), "wb") as fh:
+        _write_decimal(fh, mag.num_nodes, edges, (b",", b"\n"))
 
     for name, _dim in mag.modalities:
         with open(os.path.join(directory, f"feat_{name}.f32"), "wb") as fh:
@@ -593,6 +663,7 @@ def load(directory: str) -> Mag:
             raise ValueError("a non-string modality name")
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{meta_path}: bad or missing field ({type(exc).__name__}: {exc})")
+    del meta                # its lists of Python ints, once they are arrays
     if labels.size != n:        # before num_nodes sizes any array
         raise DatasetError(f"{meta_path}: num_nodes is {n} but there are {labels.size} labels")
 

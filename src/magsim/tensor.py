@@ -177,18 +177,24 @@ def _spmm_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+_SPLIT_WIDTH = 8        # the narrowest x whose transposed product splits
+
+
 def _spmm_t(a, x: np.ndarray, alpha: float = 0.0) -> np.ndarray:
     """alpha*x + (1-alpha)*(a.T @ x), a square: the bits of SciPy's CSR product on a.T.
 
     An undirected ``a`` (graph.CsrMatrix's mark: a symmetric pattern whose
     rows each hold one value) is its own pattern transposed, a.T's value at
     (i, j) being row j's, so where the product splits (several row blocks and
-    runner threads) it runs as _spmm_rows does, on a's index arrays, each
-    block gathering its values from the rows' values.  Otherwise it is one
-    call (it scatters) of SciPy's CSC product on a's arrays, a.T's CSC arrays.
-    Both add each row's terms in ascending column order."""
+    runner threads, and x at least _SPLIT_WIDTH columns wide) it runs as
+    _spmm_rows does, on a's index arrays, each block gathering its values
+    from the rows' values.  Otherwise it is one call (it scatters) of SciPy's
+    CSC product on a's arrays, a.T's CSC arrays: on 2 cores the gather made
+    the split slower below width 8 at 20k to 200k rows.  Both add each row's
+    terms in ascending column order."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if not (a._undirected and a.nnz and min(_row_threads(), a.num_rows // ROW_BLOCK) > 1):
+    if not (a._undirected and a.nnz and x.shape[1] >= _SPLIT_WIDTH
+            and min(_row_threads(), a.num_rows // ROW_BLOCK) > 1):
         return _mix(x, np.empty_like(x), alpha, _sparsetools.csc_matvecs, a.num_cols,
                     a.num_rows, x.shape[1], a.row_offsets, a.col_indices, a.values, x.ravel())
     ro, ci = a.row_offsets, a.col_indices
@@ -422,7 +428,7 @@ def dense(x: Tensor | list, w: Tensor, b: Tensor, rate: float = 0.0,
     (``default_rng``'s) or PCG64DXSM, else ContractError.  The rng ends where
     the one whole draw leaves it."""
     if not 0.0 <= rate < 1.0:
-        raise ShapeError(f"dropout rate must be in [0,1), got {rate}")
+        raise ContractError(f"dropout rate must be in [0,1), got {rate}")
     return _affine("dense", x, w, b, True, rate, rng)
 
 
@@ -529,7 +535,7 @@ def cross_entropy_smoothed(logits: Tensor, labels, smoothing: float, rows) -> Te
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ShapeError(f"label out of range [0,{c})")
     if not 0.0 <= smoothing < 1.0:
-        raise ShapeError(f"smoothing must be in [0,1), got {smoothing}")
+        raise ContractError(f"smoothing must be in [0,1), got {smoothing}")
 
     shifted = logits.data[rows]                 # a copy: shifted, then log_p, in place
     top = shifted[:, 0].copy()                  # the row max, column by column (exact)

@@ -1,6 +1,7 @@
 """Graph data model, synthetic generator calibration, and disk format."""
 
 import dataclasses
+import io
 import json
 import os
 import pickle
@@ -742,6 +743,74 @@ def test_save_writes_edges_in_bounded_chunks(tmp_path):
     pairs = {(a, b) for a in range(n) for b in range(a + 1, min(n, a + 40))}
     mag = graph_with_edges(n, pairs)
     _round_trip(mag, str(tmp_path / "ds"))
+
+
+def meta_document(mag):
+    """meta.json's document as the writer's oracle: json.dumps of this dict."""
+    return {"num_nodes": mag.num_nodes, "num_classes": mag.num_classes,
+            "modalities": [{"name": name, "dim": dim} for name, dim in mag.modalities],
+            "splits": {k: mag.splits[k].tolist() for k in ("train", "val", "test")},
+            "labels": mag.labels.tolist()}
+
+
+@given(small_graphs())
+@settings(max_examples=40, deadline=None)
+def test_meta_json_is_json_dumps_of_the_document(tmp_path_factory, mag):
+    d = tmp_path_factory.mktemp("ds")
+    save(mag, str(d))
+    assert (d / "meta.json").read_bytes() == json.dumps(meta_document(mag)).encode()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, graph._LIST_ROW, graph._LIST_ROW + 1,
+                                  graph._LIST_ROW * T.ROW_BLOCK + 3])
+def test_list_writer_is_json_dumps(size):
+    values = np.random.default_rng(size).integers(0, 10 ** 6, size)
+    fh = io.BytesIO()
+    graph._write_list(fh, values)
+    assert fh.getvalue() == json.dumps(values.tolist()).encode()
+
+
+def test_decimal_matches_str_at_every_digit_boundary():
+    values = [0, 2 ** 31 - 1, 2 ** 31, 2 ** 32, 2 ** 63 - 1]
+    for k in range(1, 19):
+        values += [10 ** k - 1, 10 ** k]
+    assert max(values) > 2 ** 31
+    col = np.array(values, dtype=np.int64)[:, None]
+    assert graph._decimal(col, (b", ",)) == "".join(f"{v}, " for v in values).encode()
+    pairs = np.stack([col[:, 0], col[::-1, 0]], axis=1)
+    assert graph._decimal(pairs, (b",", b"\n")) == "".join(
+        f"{a},{b}\n" for a, b in pairs.tolist()).encode()
+
+
+def test_decimal_of_an_empty_block_and_of_one_row():
+    assert graph._decimal(np.empty((0, 2), dtype=np.int64), (b",", b"\n")) == b""
+    assert graph._decimal(np.array([[7, 120]]), (b",", b"\n")) == b"7,120\n"
+    assert graph._decimal(np.array([[0]]), (b"]",)) == b"0]"
+
+
+def test_decimal_refuses_a_negative_value():
+    with pytest.raises(ContractError, match="negative"):
+        graph._decimal(np.array([[3, -1]]), (b",", b"\n"))
+
+
+def test_save_bytes_do_not_depend_on_the_thread_count(tmp_path):
+    # edges over more than one group of row blocks, and lists over two blocks
+    n = 2 * graph._LIST_ROW * T.ROW_BLOCK + 7
+    assert n > graph._WRITE_GROUP * T.ROW_BLOCK
+    mag = graph_with_edges(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    files = []
+    try:
+        for threads in (1, 2):
+            T._set_threads(threads)
+            d = tmp_path / f"threads{threads}"
+            save(mag, str(d))
+            files.append({f: (d / f).read_bytes() for f in sorted(os.listdir(d))})
+        assert T._pool is not None          # the second save used the pool
+    finally:
+        T._set_threads(None)
+    assert files[0] == files[1]
+    assert files[0]["meta.json"] == json.dumps(meta_document(mag)).encode()
+    assert files[0]["edges.csv"] == per_edge_csv(mag).encode()
 
 
 @pytest.mark.parametrize("text", [

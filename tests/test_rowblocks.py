@@ -211,13 +211,14 @@ def kernels(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
-@pytest.mark.parametrize("width", [1, 4, 64])
+@pytest.mark.parametrize("width", [1, 4, 7, 8, 64])
 @pytest.mark.parametrize("graph", ["readme-20k", "isolated"])
 def test_undirected_backward_has_the_bytes_of_the_csc_product(
         graph, width, alpha, threads, kernels, request):
     # a.T's value at (i, j) is row j's: by row blocks on two threads, the
     # CSR kernel on a's index arrays adds each row's terms in the CSC
-    # product's order; at one thread the product is the CSC call itself
+    # product's order; at one thread, or below 8 columns (T._SPLIT_WIDTH),
+    # the product is the CSC call itself
     adj = (request.getfixturevalue("readme_20k_adjacency") if graph == "readme-20k"
            else _isolated_adjacency())
     a_hat = adj.row_normalize()
@@ -227,7 +228,8 @@ def test_undirected_backward_has_the_bytes_of_the_csc_product(
     T._set_threads(threads)
     kernels.clear()
     got = T._spmm_t(a_hat, g, alpha)
-    assert set(kernels) == {"csc_matvecs" if threads == 1 else "csr_matvecs"}
+    split = threads == 2 and width >= 8
+    assert set(kernels) == {"csr_matvecs" if split else "csc_matvecs"}
     assert_bytes_equal([got], [want])
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import fd_checks
 from conftest import dropout
 from magsim import tensor as T
-from magsim.errors import ShapeError, TapeError
+from magsim.errors import ContractError, ShapeError, TapeError
 from magsim.experiments import TrainConfig, build_model
 from magsim.graph import ModalitySpec, SyntheticSpec, generate
 
@@ -76,8 +76,14 @@ def test_dropout_rate_zero_identity():
 
 
 def test_dropout_rate_bounds():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         dropout(T.Tensor([[1.0]]), 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("smoothing", [-0.1, 1.0])
+def test_smoothing_bounds(smoothing):
+    with pytest.raises(ContractError, match="smoothing"):
+        T.cross_entropy_smoothed(T.Tensor([[1.0, 0.0]]), [0], smoothing, [0])
 
 
 def test_dropout_inverted_scaling():
